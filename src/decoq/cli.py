@@ -28,7 +28,8 @@ from .channels import chi_to_choi, chi_to_kraus, kraus_to_chi, verify_cptp
 from .codes import CODE_NAMES, code_by_name
 from .decoherence import (measure_auto, measure_by_definition,
                           measure_diagonal, measure_general)
-from .sweep import CALIBRATED_CAP, break_even, fit_poly, sweep
+from .sweep import (CALIBRATED_CAP, ThreadCapError, break_even, fit_poly,
+                    sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,6 +58,8 @@ def cmd_channel(args) -> int:
         print(f"error: unknown channel kind {kind!r}", file=sys.stderr)
         return EXIT_CONFIG
     native = args.p
+    if not np.isfinite(native):
+        raise ValueError(f"--p must be finite, got {native!r}")
     chi = noise.chi_formula(kind, native)
     report = verify_cptp(chi)
 
@@ -177,8 +180,8 @@ def cmd_dqd(args) -> int:
         return EXIT_CONFIG
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
-    if not 0.0 < args.tmin <= args.tmax:
-        raise ValueError("need 0 < --tmin <= --tmax")
+    if not 0.0 < args.tmin <= args.tmax < np.inf:     # also rejects nan
+        raise ValueError("need finite 0 < --tmin <= --tmax")
     ts = np.geomspace(args.tmin, args.tmax, args.steps)
     rows = ["t_s,p1,p2,D0,D,clamped"]
     pts_d0, pts_d = [], []
@@ -300,12 +303,12 @@ def main(argv=None) -> int:
     except dqd_mod.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except (ThreadCapError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Maps device parameters (deformation potential, sound speed, crystal density,
 dot separation/radius, phonon wavevector) to
 
 * a relaxation rate Gamma (closed form),
-* a dephasing spectral function B^2(t) (nested Gauss-Legendre quadrature of
-  an oscillatory double integral),
+* a dephasing spectral function B^2(t) (panelized Gauss-Legendre quadrature
+  of an oscillatory 1-d integral over the phonon wavevector q; the angular
+  integral is done in closed form),
 * error probabilities p1 = 1 - exp(-Gamma t), p2 = (1 - exp(-B^2))/2,
   optionally scaled by an operation count N and clamped to their calibrated
   ranges,
@@ -88,23 +89,22 @@ def load_params(path) -> DqdParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and truncation for the B^2 double integral.
+    """Node count and truncation for the B^2 integral over q.
 
-    The outer q integral is cut off at q_max = q_max_factor / dot_radius
-    (the integrand carries exp(-(a q)^2/2), so factor 8 leaves a 1e-14 tail)
-    and split into panels short enough to resolve the sin^2 oscillations.
-    Node counts double up to max_refinements times until the relative change
-    drops below rel_tol.
+    The q integral is cut off at q_max = q_max_factor / dot_radius (the
+    integrand carries exp(-(a q)^2/2), so factor 8 leaves a 1e-14 tail) and
+    split into panels short enough to resolve the sin^2 oscillations.  The
+    per-panel node count starts at outer_nodes and doubles up to
+    max_refinements times until the relative change drops below rel_tol.
     """
     outer_nodes: int = 32
-    inner_nodes: int = 32
     q_max_factor: float = 8.0
     rel_tol: float = 1e-7
     max_refinements: int = 6
 
     def __post_init__(self):
-        if self.outer_nodes < 16 or self.inner_nodes < 16:
-            raise ValueError("node counts must be at least 16")
+        if self.outer_nodes < 16:
+            raise ValueError("outer_nodes must be at least 16")
         if self.q_max_factor < 6.0:
             raise ValueError("q_max_factor must be at least 6 "
                              "(smaller cutoffs truncate real mass)")
@@ -127,62 +127,48 @@ def relaxation_rate(params: DqdParams) -> float:
             * bracket)
 
 
-def _b2_once(params: DqdParams, t: float, outer_nodes: int,
-             inner_nodes: int, q_max: float) -> float:
-    """One nested Gauss-Legendre evaluation of the B^2 double integral."""
+def _b2_once(params: DqdParams, t: float, nodes: int, q_max: float) -> float:
+    """One panelized Gauss-Legendre evaluation of the B^2 q integral."""
     a = params.dot_radius
     ell = params.dot_separation
     s = params.sound_speed
 
-    # angular nodes on [0, pi]: sin^2(q L cos(theta)) swings through ~q L / pi
-    # cycles at the largest q, so the node count must grow with q_max * L
-    n_inner = max(inner_nodes, int(q_max * ell) + 24)
-    x_in, w_in = np.polynomial.legendre.leggauss(n_inner)
-    theta = 0.5 * np.pi * (x_in + 1.0)
-    w_theta = 0.5 * np.pi * w_in
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-
-    # the q integrand oscillates with combined phase q*(2L + s t); keep each
+    # the integrand oscillates with combined phase q*(2L + s t); keep each
     # panel to a few oscillation periods so the per-panel node count wins
     cycles = q_max * (2.0 * ell + s * t) / (2.0 * np.pi)
     n_panels = max(8, int(np.ceil(cycles / 4.0)))
     edges = np.linspace(0.0, q_max, n_panels + 1)
-    x_out, w_out = np.polynomial.legendre.leggauss(outer_nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
 
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    q = (mid[:, None] + half[:, None] * x_out[None, :]).reshape(-1)
-    wq = (half[:, None] * w_out[None, :]).reshape(-1)
+    q = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
+    wq = (half[:, None] * w[None, :]).reshape(-1)
 
+    # int_0^pi sin^2(q L cos(theta)) sin(theta) dtheta = 1 - sin(2qL)/(2qL);
+    # Gauss nodes are interior, so q > 0
+    two_ql = 2.0 * q * ell
+    angular = 1.0 - np.sin(two_ql) / two_ql
     radial = q * np.exp(-(a * q) ** 2 / 2.0) * np.sin(q * s * t / 2.0) ** 2
-    total = 0.0
-    for lo in range(0, q.size, 65536):     # bound the (q, theta) work matrix
-        qc = q[lo:lo + 65536]
-        angular = (np.sin(qc[:, None] * ell * cos_t[None, :]) ** 2
-                   * sin_t[None, :]) @ w_theta
-        total += float((radial[lo:lo + 65536] * angular * wq[lo:lo + 65536]).sum())
-
     xi = params.deformation_potential
     pref = xi * xi / (np.pi ** 2 * params.hbar
                       * params.crystal_density * s ** 3)
-    return pref * total
+    return pref * float((radial * angular) @ wq)
 
 
 def spectral_function(params: DqdParams, t: float,
                       cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """B^2(t) by nested quadrature with node-doubling convergence control."""
+    """B^2(t) by panelized quadrature with node-doubling convergence control."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
     q_max = cfg.q_max_factor / params.dot_radius
-    outer, inner = cfg.outer_nodes, cfg.inner_nodes
-    value = _b2_once(params, t, outer, inner, q_max)
+    nodes = cfg.outer_nodes
+    value = _b2_once(params, t, nodes, q_max)
     for _ in range(cfg.max_refinements):
-        outer *= 2
-        inner *= 2
-        refined = _b2_once(params, t, outer, inner, q_max)
+        nodes *= 2
+        refined = _b2_once(params, t, nodes, q_max)
         scale = max(abs(refined), 1e-300)
         if abs(refined - value) / scale < cfg.rel_tol:
             return refined

@@ -64,9 +64,17 @@ def _measure_point(code, kind: str, p: float) -> float:
     return measure_auto(choi_to_chi(tau))
 
 
+class ThreadCapError(ValueError):
+    """DECOM_THREADS is set but is not an integer."""
+
+
 def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get("DECOM_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        cap = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ThreadCapError(
+            f"DECOM_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(n_jobs, cap))
 
 

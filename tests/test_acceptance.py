@@ -155,8 +155,7 @@ def test_criterion_10_dqd_pipeline():
     gamma_ok = abs(gamma - 1273433624.2483376) / 1273433624.2483376 <= 1e-12
     b2 = spectral_function(params, 1e-10)
     b2_ok = abs(b2 - 0.0087765807330008576) / 0.0087765807330008576 <= 1e-6
-    fine = spectral_function(params, 1e-10,
-                             QuadratureConfig(outer_nodes=48, inner_nodes=48))
+    fine = spectral_function(params, 1e-10, QuadratureConfig(outer_nodes=48))
     conv_ok = abs(b2 - fine) / fine < 1e-4
     mono_ok = True
     for t in (1e-12, 1e-11, 1e-10):

@@ -32,6 +32,14 @@ def test_channel_unknown_kind(capsys):
     assert main(["channel", "--channel", "gauss", "--p", "0.1"]) == 2
 
 
+def test_channel_non_finite_parameter(capsys):
+    for value in ("nan", "inf"):
+        assert main(["channel", "--channel", "bit_flip", "--p", value]) == 3
+        err = capsys.readouterr().err
+        assert "--p" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_sweep_csv_is_deterministic(tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--code", "bit3", "--channel", "bit_flip",
@@ -114,3 +122,21 @@ def test_dqd_exit_codes(tmp_path, capsys):
     assert main(["dqd", "--params", str(missing), "--steps", "1"]) == 2
     assert main(["dqd", "--tmin", "0", "--steps", "1"]) == 3
     assert main(["dqd", "--steps", "0"]) == 3
+    # non-finite bounds are rejected before any quadrature is planned
+    for flag, value in (("--tmax", "inf"), ("--tmax", "nan"),
+                        ("--tmin", "nan"), ("--tmin", "inf")):
+        capsys.readouterr()
+        assert main(["dqd", flag, value, "--steps", "2"]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_malformed_thread_cap_is_a_configuration_error(monkeypatch, capsys):
+    monkeypatch.setenv("DECOM_THREADS", "abc")
+    argv = ["sweep", "--code", "bit3", "--channel", "bit_flip", "--steps", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "DECOM_THREADS" in err
+    assert len(err.splitlines()) == 1
+    for value in ("0", "1"):
+        monkeypatch.setenv("DECOM_THREADS", value)
+        assert main(argv) == 0

@@ -1,4 +1,4 @@
-"""Phonon rates, the dephasing double integral, and the derived error curves."""
+"""Phonon rates, the dephasing integral, and the derived error curves."""
 import json
 import math
 
@@ -69,22 +69,21 @@ def test_spectral_function_edges():
 
 def test_spectral_function_frozen_value():
     got = spectral_function(default_params(), 1e-10)
-    assert abs(got - B2_DEFAULT_1E10) / B2_DEFAULT_1E10 < 1e-6
+    assert abs(got - B2_DEFAULT_1E10) / B2_DEFAULT_1E10 < 1e-12
 
 
 def test_spectral_function_node_doubling_self_consistency():
     p = default_params()
     coarse = spectral_function(p, 1e-11)
-    fine = spectral_function(p, 1e-11,
-                             QuadratureConfig(outer_nodes=48, inner_nodes=48))
+    fine = spectral_function(p, 1e-11, QuadratureConfig(outer_nodes=48))
     assert abs(coarse - fine) / fine < 1e-4
 
 
-def test_spectral_function_against_analytic_angular_integral():
+@pytest.mark.parametrize("t", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+def test_spectral_function_against_analytic_angular_integral(t):
     # the angular integral has the closed form 1 - sin(2 q L)/(2 q L); what
     # remains is a 1-d integral evaluated here on a fine panelized grid
     p = default_params()
-    t = 1e-10
     a, ell, s = p.dot_radius, p.dot_separation, p.sound_speed
     q_max = 8.0 / a
     x, w = np.polynomial.legendre.leggauss(48)
@@ -100,14 +99,12 @@ def test_spectral_function_against_analytic_angular_integral():
                                            * p.crystal_density * s ** 3)
     want = pref * float((integrand * wq).sum())
     got = spectral_function(p, t)
-    assert abs(got - want) / want < 1e-6
+    assert abs(got - want) / want < 1e-10
 
 
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(outer_nodes=8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(inner_nodes=4)
     with pytest.raises(ValueError):
         QuadratureConfig(q_max_factor=2.0)
     with pytest.raises(ValueError):
@@ -119,8 +116,7 @@ def test_quadrature_config_validation():
 def test_convergence_error_surfaces():
     # the first 16 -> 32 node doubling still moves the value by ~3e-13, so a
     # tighter tolerance with a one-refinement budget cannot be met
-    cfg = QuadratureConfig(outer_nodes=16, inner_nodes=16,
-                           rel_tol=1e-14, max_refinements=1)
+    cfg = QuadratureConfig(outer_nodes=16, rel_tol=1e-14, max_refinements=1)
     with pytest.raises(ConvergenceError):
         spectral_function(default_params(), 1e-10, cfg)
 
