@@ -20,9 +20,9 @@ from .noise import (CHANNEL_KINDS, NoiseSpec, amplitude_damping, bit_flip,
                     depolarizing, format_spec, from_calibrated_p, make_spec,
                     native_from_calibrated, parse_spec, phase_damping,
                     phase_flip, spec_channel)
-from .sim import (Circuit, Gate, apply_gate, apply_noise_all, block_unitary,
-                  cnot, controlled_pauli, cz, hadamard, partial_trace,
-                  pauli_gate, run_circuit, simulate_choi, toffoli)
+from .sim import (Circuit, Gate, apply_gate, block_unitary, cnot,
+                  controlled_pauli, cz, hadamard, partial_trace, pauli_gate,
+                  simulate_choi, toffoli)
 from .sweep import (BreakEven, PolyCoeffs, SweepResult, break_even, fit_poly,
                     scale_for_n_ops, sweep)
 

@@ -11,8 +11,8 @@ dqd      -- CSV of the double-quantum-dot curves over a logarithmic time grid.
 
 CSV files use 12-significant-digit scientific notation, a header row, and LF
 line endings; identical configurations produce byte-identical files.  Exit
-codes: 0 success, 2 configuration error, 3 range/validation error,
-4 quadrature non-convergence.
+codes: 0 success, 2 configuration error, 3 range/validation error (including
+nan or infinite values of any float flag), 4 quadrature non-convergence.
 """
 from __future__ import annotations
 
@@ -58,8 +58,6 @@ def cmd_channel(args) -> int:
         print(f"error: unknown channel kind {kind!r}", file=sys.stderr)
         return EXIT_CONFIG
     native = args.p
-    if not np.isfinite(native):
-        raise ValueError(f"--p must be finite, got {native!r}")
     chi = noise.chi_formula(kind, native)
     report = verify_cptp(chi)
 
@@ -180,13 +178,16 @@ def cmd_dqd(args) -> int:
         return EXIT_CONFIG
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
-    if not 0.0 < args.tmin <= args.tmax < np.inf:     # also rejects nan
-        raise ValueError("need finite 0 < --tmin <= --tmax")
+    if not 0.0 < args.tmin <= args.tmax:
+        raise ValueError("need 0 < --tmin <= --tmax")
     ts = np.geomspace(args.tmin, args.tmax, args.steps)
+    try:
+        probs = [dqd_mod.dqd_error_probs(params, t, args.n_ops) for t in ts]
+    except dqd_mod.QuadratureSizeError as exc:
+        raise ValueError(f"--tmax {args.tmax!r} is too large: {exc}") from None
     rows = ["t_s,p1,p2,D0,D,clamped"]
     pts_d0, pts_d = [], []
-    for t in ts:
-        p1, p2, clamped = dqd_mod.dqd_error_probs(params, t, args.n_ops)
+    for t, (p1, p2, clamped) in zip(ts, probs):
         d0 = max(p1, p2)
         d = max(dqd_mod.amp_poly(p1), dqd_mod.phase_poly(p2))
         rows.append(f"{_fmt(t)},{_fmt(p1)},{_fmt(p2)},{_fmt(d0)},{_fmt(d)},"
@@ -298,6 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be finite, got {value!r}",
+                  file=sys.stderr)
+            return EXIT_RANGE
     try:
         return args.func(args)
     except dqd_mod.ConvergenceError as exc:

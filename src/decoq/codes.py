@@ -2,7 +2,8 @@
 
 All circuits are code-local: wire 0 is the data qubit, wires 1..n-1 are
 ancillas prepared in |0>.  The simulator shifts them up by one to make room
-for its reference wire.
+for its reference wire; ``QecCode.decode_block`` is the decoder followed by
+the recovery as one unitary, built once per code on those shifted wires.
 
 Four codes are provided:
 
@@ -21,11 +22,12 @@ a recovery built by enumeration maps the error-k image of logical |b> to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .sim import (Circuit, Gate, apply_gate_state, block_unitary, cnot, cz,
-                  hadamard, pauli_gate, toffoli)
+from .sim import (Circuit, Gate, apply_gate, block_unitary, circuit_unitary,
+                  cnot, cz, hadamard, pauli_gate, toffoli)
 
 RECOVERY_ORTHO_ATOL = 1e-10
 
@@ -47,9 +49,12 @@ class QecCode:
         if self.encoder.wire_count != self.n or self.decoder.wire_count != self.n:
             raise ValueError("encoder/decoder wire count must equal n")
 
-
-def _error_gate(label: str, wire: int) -> Gate:
-    return pauli_gate(label, wire)
+    @cached_property
+    def decode_block(self) -> Gate:
+        """Decoder then recovery as one unitary on the simulator's wires 1..n."""
+        dec = Circuit(self.n, self.decoder.gates + self.recovery)
+        return block_unitary("decode", range(1, self.n + 1),
+                             circuit_unitary(dec))
 
 
 def build_recovery(encoder: Circuit, corrects) -> Gate:
@@ -73,10 +78,9 @@ def build_recovery(encoder: Circuit, corrects) -> Gate:
         psi0 = np.zeros(dim, dtype=complex)
         psi0[b << (n - 1)] = 1.0          # data wire is the top bit
         for gate in encoder.gates:
-            psi0 = apply_gate_state(psi0, gate, n)
+            psi0 = apply_gate(psi0, gate)
         for k, err in enumerate(errors):
-            psi = psi0 if err is None else apply_gate_state(
-                psi0, _error_gate(*err), n)
+            psi = psi0 if err is None else apply_gate(psi0, pauli_gate(*err))
             columns.append(psi)
             targets.append((b << (n - 1)) + k)
     v = np.stack(columns, axis=1)

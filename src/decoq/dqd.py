@@ -27,8 +27,17 @@ HBAR = 1.054571817e-34        # J s
 EV = 1.602176634e-19          # J
 
 
+# most q nodes one B^2 evaluation may allocate; the default grid
+# (t <= 1e-9 s) peaks at about 2e6 after every node doubling
+MAX_QUADRATURE_NODES = 2 ** 22
+
+
 class ConvergenceError(Exception):
     """Quadrature failed to reach the requested tolerance within budget."""
+
+
+class QuadratureSizeError(ValueError):
+    """The panel rule at this t needs more than MAX_QUADRATURE_NODES nodes."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,12 @@ def _b2_once(params: DqdParams, t: float, nodes: int, q_max: float) -> float:
     # the integrand oscillates with combined phase q*(2L + s t); keep each
     # panel to a few oscillation periods so the per-panel node count wins
     cycles = q_max * (2.0 * ell + s * t) / (2.0 * np.pi)
-    n_panels = max(8, int(np.ceil(cycles / 4.0)))
+    panels = max(8.0, np.ceil(cycles / 4.0))
+    if panels * nodes > MAX_QUADRATURE_NODES:         # sized before allocating
+        raise QuadratureSizeError(
+            f"B^2({t}) needs {panels * nodes:.3g} quadrature nodes, "
+            f"above the limit of {MAX_QUADRATURE_NODES}")
+    n_panels = int(panels)
     edges = np.linspace(0.0, q_max, n_panels + 1)
     x, w = np.polynomial.legendre.leggauss(nodes)
 
@@ -158,7 +172,11 @@ def _b2_once(params: DqdParams, t: float, nodes: int, q_max: float) -> float:
 
 def spectral_function(params: DqdParams, t: float,
                       cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """B^2(t) by panelized quadrature with node-doubling convergence control."""
+    """B^2(t) by panelized quadrature with node-doubling convergence control.
+
+    Raises QuadratureSizeError when t is so large that one evaluation would
+    need more than MAX_QUADRATURE_NODES nodes.
+    """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
@@ -196,6 +214,7 @@ def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1,
     operation count n_ops and clamped to their calibrated ranges ([0,1] and
     [0,1/2]); ``clamped`` reports whether either cap was hit.
     """
+    t = float(t)          # a huge t overflows to inf without a numpy warning
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if n_ops < 1:

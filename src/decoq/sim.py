@@ -1,16 +1,22 @@
-"""Dense density-matrix simulation of small noisy circuits (up to 11 wires).
+"""Dense simulation of small noisy circuits (up to 11 wires).
 
-States are 2^m x 2^m density matrices with tensor-factor order equal to wire
-order (wire 0 is the most significant bit of the basis index).  Gates act on
-one, two, three, or a block of wires and are applied by tensor contraction on
-a (2,)*2m view of the state — the full 2^m x 2^m gate matrix is never built.
+States are 2^m state vectors or 2^m x 2^m density matrices with tensor-factor
+order equal to wire order (wire 0 is the most significant bit of the basis
+index).  Gates act on one, two, three, or a block of wires and are applied by
+tensor contraction on a (2,)*m or (2,)*2m view of the state.
 
-The main entry point is simulate_choi: prepare a maximally entangled pair
-between a reference wire and the code's data wire, run the encoder, apply a
-single-qubit channel independently to every code wire, run the decoder and
-recovery, and trace out everything but (data, reference).  The result is the
-Choi state of the error-corrected logical channel, with the noisy (data)
-factor first.
+The main entry point is simulate_choi, in three stages:
+
+* encode -- run the encoder on the pure state vector of a maximally entangled
+  pair (reference wire, code data wire), then form its density matrix once;
+* noise  -- apply a single-qubit channel to every code wire, each as one 4x4
+  superoperator contraction on the wire's (row, column) axes;
+* decode -- apply decoder and recovery as one unitary block, built once per
+  code object (QecCode.decode_block), and trace out all but (data, reference).
+
+The result is the Choi state of the error-corrected logical channel, with the
+noisy (data) factor first.  The superoperator and Choi contractions follow
+Wood, Biamonte & Cory, arXiv:1111.6950.
 """
 from __future__ import annotations
 
@@ -93,26 +99,14 @@ def block_unitary(name: str, wires, matrix: np.ndarray) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on ``wire_count`` wires.
-
-    ``noise_slots`` marks where an externally supplied per-qubit channel is
-    applied: each entry is (position, wires) meaning "after ``position`` gates
-    have run, apply the channel to each listed wire".
-    """
+    """An ordered gate list on ``wire_count`` wires."""
     wire_count: int
     gates: tuple = ()
-    noise_slots: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "noise_slots",
-                           tuple((int(pos), tuple(ws)) for pos, ws in self.noise_slots))
         for g in self.gates:
             _check_wires(g.wires, self.wire_count)
-        for pos, ws in self.noise_slots:
-            if not 0 <= pos <= len(self.gates):
-                raise ValueError("noise slot position out of range")
-            _check_wires(ws, self.wire_count)
 
 
 def _check_wires(wires, wire_count: int):
@@ -121,58 +115,48 @@ def _check_wires(wires, wire_count: int):
             raise ValueError(f"wire {w} out of range for {wire_count} wires")
 
 
-def _wire_count_of(rho: np.ndarray) -> int:
-    m = int(rho.shape[0]).bit_length() - 1
-    if rho.shape != (2 ** m, 2 ** m):
+def _wire_count_of(state: np.ndarray, ndim: int = 2) -> int:
+    """Wires of a state vector (ndim 1) or a density matrix (ndim 2)."""
+    m = int(state.shape[0]).bit_length() - 1
+    if ndim not in (1, 2) or state.shape != (2 ** m,) * ndim:
         raise ValueError("state dimension is not a power of two")
     return m
 
 
 def _contract(tens: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
-    """Apply ``op`` to the given tensor axes of a (2,)*2m state tensor."""
+    """Apply ``op`` to the given axes of a tensor with (2,)-sized axes."""
     k = len(axes)
     u = op.reshape((2,) * (2 * k))
     tens = np.tensordot(u, tens, axes=(tuple(range(k, 2 * k)), tuple(axes)))
     return np.moveaxis(tens, range(k), axes)
 
 
-def apply_gate(rho: np.ndarray, gate: Gate) -> np.ndarray:
-    """Conjugate the state by the gate: rho -> U rho U^dag."""
-    m = _wire_count_of(rho)
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply the gate to a state vector (psi -> U psi) or conjugate a density
+    matrix by it (rho -> U rho U^dag)."""
+    m = _wire_count_of(state, state.ndim)
     _check_wires(gate.wires, m)
-    tens = rho.reshape((2,) * (2 * m))
-    tens = _contract(tens, gate.matrix, gate.wires)
-    tens = _contract(tens, gate.matrix.conj(), tuple(m + w for w in gate.wires))
-    return tens.reshape(rho.shape)
-
-
-def apply_gate_state(psi: np.ndarray, gate: Gate, wire_count: int) -> np.ndarray:
-    """Apply the gate to a state vector over ``wire_count`` wires."""
-    _check_wires(gate.wires, wire_count)
-    tens = psi.reshape((2,) * wire_count)
-    tens = _contract(tens, gate.matrix, gate.wires)
-    return tens.reshape(-1)
+    tens = _contract(state.reshape((2,) * (state.ndim * m)), gate.matrix,
+                     gate.wires)
+    if state.ndim == 2:
+        tens = _contract(tens, gate.matrix.conj(),
+                         tuple(m + w for w in gate.wires))
+    return tens.reshape(state.shape)
 
 
 def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wire: int) -> np.ndarray:
-    """Apply a single-qubit Kraus channel to one wire of the register."""
+    """Apply a single-qubit Kraus channel to one wire of the register.
+
+    The Kraus sum is folded into the superoperator S = sum_k K (x) K^*,
+    which acts on the wire's row and column axes in one contraction.
+    """
     if channel.dim != 2:
         raise ValueError("per-wire noise must be a single-qubit channel")
     m = _wire_count_of(rho)
     _check_wires((wire,), m)
-    tens = rho.reshape((2,) * (2 * m))
-    out = np.zeros_like(tens)
-    for op in channel.operators:
-        term = _contract(tens, op, (wire,))
-        out += _contract(term, op.conj(), (m + wire,))
-    return out.reshape(rho.shape)
-
-
-def apply_noise_all(rho: np.ndarray, channel: KrausChannel, wires) -> np.ndarray:
-    """Apply the same single-qubit channel independently to each listed wire."""
-    for w in wires:
-        rho = apply_channel_wire(rho, channel, w)
-    return rho
+    superop = sum(np.kron(op, op.conj()) for op in channel.operators)
+    tens = _contract(rho.reshape((2,) * (2 * m)), superop, (wire, m + wire))
+    return tens.reshape(rho.shape)
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
@@ -194,35 +178,18 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     return np.einsum("atbt->ab", tens)
 
 
-def run_circuit(rho: np.ndarray, circuit: Circuit,
-                noise: KrausChannel | None = None) -> np.ndarray:
-    """Run all gates in order, applying ``noise`` at each declared slot."""
-    if _wire_count_of(rho) != circuit.wire_count:
-        raise ValueError("state size does not match circuit wire count")
-    slots = {}
-    for pos, ws in circuit.noise_slots:
-        slots.setdefault(pos, []).extend(ws)
-    for i, gate in enumerate(circuit.gates):
-        for w in slots.get(i, ()):
-            if noise is not None:
-                rho = apply_channel_wire(rho, noise, w)
-        rho = apply_gate(rho, gate)
-    for w in slots.get(len(circuit.gates), ()):
-        if noise is not None:
-            rho = apply_channel_wire(rho, noise, w)
-    return rho
-
-
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The full 2^m x 2^m unitary of a (noise-free) circuit."""
+    """The full 2^m x 2^m unitary of a (noise-free) circuit.
+
+    All columns are computed at once: the identity, read as a state vector
+    on 2m wires (row wires first), becomes the unitary when each gate is
+    applied to its row wires.
+    """
     dim = 2 ** circuit.wire_count
-    cols = np.eye(dim, dtype=complex)
-    for j in range(dim):
-        psi = cols[:, j].copy()
-        for gate in circuit.gates:
-            psi = apply_gate_state(psi, gate, circuit.wire_count)
-        cols[:, j] = psi
-    return cols
+    vec = np.eye(dim, dtype=complex).reshape(-1)
+    for gate in circuit.gates:
+        vec = apply_gate(vec, gate)
+    return vec.reshape(dim, dim)
 
 
 def shift_gates(gates, offset: int):
@@ -256,20 +223,16 @@ def simulate_choi(code, noise) -> np.ndarray:
     psi = np.zeros(2 ** m, dtype=complex)
     psi[0] = 1.0 / np.sqrt(2.0)
     psi[(1 << (m - 1)) + (1 << (m - 2))] = 1.0 / np.sqrt(2.0)
+    for gate in shift_gates(code.encoder.gates, 1):
+        psi = apply_gate(psi, gate)
     rho = np.outer(psi, psi.conj())
 
-    for gate in shift_gates(code.encoder.gates, 1):
-        rho = apply_gate(rho, gate)
     for w, ch in enumerate(per_wire):
         if ch is not None:
             rho = apply_channel_wire(rho, ch, 1 + w)
-    for gate in shift_gates(code.decoder.gates, 1):
-        rho = apply_gate(rho, gate)
-    for gate in shift_gates(code.recovery, 1):
-        rho = apply_gate(rho, gate)
 
-    tau = partial_trace(rho, keep=(1, 0))
-    return tau
+    rho = apply_gate(rho, code.decode_block)
+    return partial_trace(rho, keep=(1, 0))
 
 
 def bell_choi_reference() -> np.ndarray:

@@ -1,7 +1,11 @@
 """Exit codes, CSV determinism, and report content of the command line tool."""
+import argparse
+import random
+import warnings
+
 import numpy as np
 
-from decoq.cli import main
+from decoq.cli import build_parser, main
 
 
 def test_channel_report(capsys):
@@ -128,6 +132,53 @@ def test_dqd_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["dqd", flag, value, "--steps", "2"]) == 3
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_dqd_huge_tmax_is_a_range_error(capsys):
+    for value in ("1e-3", "1e300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")       # no numpy overflow warning
+            assert main(["dqd", "--tmin", value, "--tmax", value,
+                         "--steps", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "--tmax" in err
+        assert len(err.splitlines()) == 1
+
+
+# the smallest valid command line of each subcommand
+_BASE_ARGV = {
+    "channel": ["--channel", "bit_flip", "--p", "0.1"],
+    "sweep": ["--code", "bit3", "--channel", "bit_flip", "--steps", "2"],
+    "fit": ["--code", "bit3", "--channel", "bit_flip"],
+    "dqd": ["--tmin", "1e-12", "--tmax", "1e-12", "--steps", "1"],
+}
+_NON_FINITE = ("nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "INF",
+               "1e999", "-1e999")
+
+
+def _float_flags():
+    """(subcommand, flag) for every float-typed option of the parser."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.option_strings[0])
+            for name, subparser in sub.choices.items()
+            for action in subparser._actions if action.type is float]
+
+
+def test_non_finite_float_flags_are_range_errors(capsys):
+    flags = _float_flags()
+    assert {cmd for cmd, _ in flags} == {"channel", "sweep", "dqd"}
+    assert set(_BASE_ARGV) == {cmd for cmd, _ in flags} | {"fit"}
+    rng = random.Random(20261018)
+    for cmd, flag in flags:
+        for value in rng.sample(_NON_FINITE, 4):
+            argv = [cmd] + _BASE_ARGV[cmd] + [f"{flag}={value}"]
+            assert main(argv) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: {flag} must be finite, got {float(value)!r}"]
 
 
 def test_malformed_thread_cap_is_a_configuration_error(monkeypatch, capsys):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from decoq import dqd
 from decoq.dqd import (EV, ConvergenceError, DqdParams, QuadratureConfig,
-                       amp_poly, default_params, dqd_decoherence,
-                       dqd_error_probs, load_params, params_from_units,
-                       phase_poly, relaxation_rate, spectral_function)
+                       QuadratureSizeError, amp_poly, default_params,
+                       dqd_decoherence, dqd_error_probs, load_params,
+                       params_from_units, phase_poly, relaxation_rate,
+                       spectral_function)
 
 GAMMA_DEFAULT = 1273433624.2483376        # 1/s, frozen high-precision value
 B2_DEFAULT_1E10 = 0.0087765807330008576   # dimensionless, frozen value
@@ -119,6 +121,20 @@ def test_convergence_error_surfaces():
     cfg = QuadratureConfig(outer_nodes=16, rel_tol=1e-14, max_refinements=1)
     with pytest.raises(ConvergenceError):
         spectral_function(default_params(), 1e-10, cfg)
+
+
+def test_huge_t_is_rejected_before_allocating():
+    params = default_params()
+    # about 1e9 panels at 1e-3 s; at 1e300 s the panel count overflows to inf
+    for t in (1e-3, 1e300):
+        with pytest.raises(QuadratureSizeError, match="quadrature nodes"):
+            dqd_error_probs(params, t)
+    assert issubclass(QuadratureSizeError, ValueError)
+    # the default grid's largest t stays under the limit after every doubling
+    cfg = QuadratureConfig()
+    nodes = cfg.outer_nodes * 2 ** cfg.max_refinements
+    q_max = cfg.q_max_factor / params.dot_radius
+    assert dqd._b2_once(params, 1e-9, nodes, q_max) > 0.0
 
 
 def test_error_probabilities():

@@ -1,16 +1,21 @@
 """Gate application, per-wire noise, partial trace, and Choi extraction."""
+import functools
+
 import numpy as np
 import pytest
 
-from decoq.channels import (kraus_to_choi, maximally_entangled,
-                            random_density)
-from decoq.codes import QecCode, code_by_name, trivial_code
-from decoq.noise import bit_flip, build_channel, depolarizing, phase_flip
+from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
+                            kraus_to_choi, maximally_entangled,
+                            random_density, random_kraus_channel)
+from decoq.codes import CODE_NAMES, QecCode, code_by_name, trivial_code
+from decoq.noise import (CHANNEL_KINDS, bit_flip, build_channel, depolarizing,
+                         from_calibrated_p, phase_flip)
 from decoq.sim import (Circuit, Gate, apply_channel_wire, apply_gate,
-                       apply_noise_all, bell_choi_reference, block_unitary,
-                       circuit_unitary, cnot, cz, hadamard, partial_trace,
-                       pauli_gate, run_circuit, shift_gates, simulate_choi,
-                       toffoli)
+                       bell_choi_reference, block_unitary, circuit_unitary,
+                       cnot, cz, hadamard, partial_trace, pauli_gate,
+                       shift_gates, simulate_choi, toffoli)
+
+from util import embed_operator, kraus_sum_on_wire, reference_choi
 
 
 def _ket(bits):
@@ -76,14 +81,16 @@ def test_block_unitary_multi_wire():
     assert np.abs(u - u2).max() < 1e-12
 
 
-def test_apply_noise_all():
+def test_apply_channel_wire_on_each_wire():
     rho = _ket((0, 0))
-    out = apply_noise_all(rho, bit_flip(0.2), (0, 1))
+    out = apply_channel_wire(apply_channel_wire(rho, bit_flip(0.2), 0),
+                             bit_flip(0.2), 1)
     want = np.kron(np.diag([0.8, 0.2]), np.diag([0.8, 0.2]))
     assert np.abs(out - want).max() < 1e-14
     # channels on different wires commute
-    a = apply_noise_all(rho, depolarizing(0.3), (0, 1))
-    b = apply_noise_all(rho, depolarizing(0.3), (1, 0))
+    ch = depolarizing(0.3)
+    a = apply_channel_wire(apply_channel_wire(rho, ch, 0), ch, 1)
+    b = apply_channel_wire(apply_channel_wire(rho, ch, 1), ch, 0)
     assert np.abs(a - b).max() < 1e-12
     with pytest.raises(ValueError):
         apply_channel_wire(rho, bit_flip(0.1), 2)
@@ -114,18 +121,65 @@ def test_partial_trace():
         partial_trace(rho, (0, 0))
 
 
-def test_run_circuit_noise_slots():
-    circ = Circuit(1, (hadamard(0), hadamard(0)), noise_slots=((1, (0,)),))
+def test_dephasing_between_hadamards_is_a_bit_flip():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    # dephasing between the Hadamards becomes a bit flip in the end
-    out = run_circuit(rho, circ, noise=phase_flip(0.3))
+    out = apply_gate(rho, hadamard(0))
+    out = apply_channel_wire(out, phase_flip(0.3), 0)
+    out = apply_gate(out, hadamard(0))
     assert np.abs(out - np.diag([0.7, 0.3])).max() < 1e-12
-    out = run_circuit(rho, circ)
-    assert np.abs(out - rho).max() < 1e-14
     with pytest.raises(ValueError):
-        Circuit(1, (hadamard(0),), noise_slots=((2, (0,)),))
-    with pytest.raises(ValueError):
-        run_circuit(np.eye(4, dtype=complex) / 4.0, circ)
+        apply_channel_wire(np.eye(3, dtype=complex) / 3.0, phase_flip(0.3), 0)
+
+
+def test_apply_gate_on_a_vector_matches_the_density_matrix():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4))
+                            + 1j * rng.normal(size=(4, 4)))
+        wires = tuple(int(w) for w in rng.choice(4, size=2, replace=False))
+        for gate in (block_unitary("U", wires, q), toffoli(3, 0, 1)):
+            out = apply_gate(psi, gate)
+            assert out.shape == psi.shape
+            want = apply_gate(np.outer(psi, psi.conj()), gate)
+            assert np.abs(np.outer(out, out.conj()) - want).max() < 1e-14
+            full = embed_operator(gate.matrix, gate.wires, 4)
+            assert np.abs(out - full @ psi).max() < 1e-14
+
+
+def test_superoperator_matches_kraus_sum_for_a_non_unital_channel():
+    rng = np.random.default_rng(12)
+    ch = random_kraus_channel(rng)
+    # non-unital: the channel moves the maximally mixed state
+    unital = sum(op @ op.conj().T for op in ch.operators)
+    assert np.abs(unital - np.eye(2)).max() > 0.1
+    rho = random_density(8, rng)
+    for wire in range(3):
+        out = apply_channel_wire(rho, ch, wire)
+        ops = [embed_operator(op, (wire,), 3) for op in ch.operators]
+        want = sum(f @ rho @ f.conj().T for f in ops)
+        assert np.abs(out - want).max() < 1e-14
+        assert np.abs(out - kraus_sum_on_wire(rho, ch.operators, wire)
+                      ).max() < 1e-14
+
+
+def test_circuit_unitary_applies_gates_in_order():
+    circ = Circuit(3, (hadamard(0), cnot(0, 2), toffoli(2, 0, 1)))
+    want = np.eye(8, dtype=complex)
+    for g in circ.gates:
+        want = embed_operator(g.matrix, g.wires, 3) @ want
+    assert np.abs(circuit_unitary(circ) - want).max() < 1e-15
+
+
+def test_decode_block_is_built_once_on_the_simulator_wires():
+    for name in CODE_NAMES:
+        code = code_by_name(name)
+        block = code.decode_block
+        assert block is code.decode_block
+        assert block.wires == tuple(range(1, code.n + 1))
+        dec = Circuit(code.n, code.decoder.gates + code.recovery)
+        assert np.abs(block.matrix - circuit_unitary(dec)).max() == 0.0
 
 
 def test_circuit_unitary_and_shift():
@@ -165,3 +219,31 @@ def test_simulate_choi_input_checks():
     big = QecCode("big", 11, Circuit(11, ()), Circuit(11, ()), (), ())
     with pytest.raises(ValueError):
         simulate_choi(big, (None,) * 11)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_code(name):
+    """One code object per name, so that its decode block and the
+    reference's cached unitaries are built once for all cases."""
+    return code_by_name(name)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_simulate_choi_matches_dense_reference(name, kind):
+    code = _shared_code(name)
+    # the 9-qubit reference costs about half a second per point
+    for p in (0.05,) if name == "shor9" else (0.0, 0.05, 0.3):
+        ch = from_calibrated_p(kind, p)
+        want = reference_choi(code, (ch,) * code.n)
+        assert np.abs(simulate_choi(code, ch) - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_simulate_choi_per_wire_paulis_match_dense_reference(name):
+    code = _shared_code(name)
+    paulis = (KrausChannel((PAULI_X,)), None, KrausChannel((PAULI_Y,)),
+              depolarizing(0.2), KrausChannel((PAULI_Z,)))
+    per_wire = tuple(paulis[w % len(paulis)] for w in range(code.n))
+    want = reference_choi(code, per_wire)
+    assert np.abs(simulate_choi(code, per_wire) - want).max() < 1e-14

@@ -8,8 +8,12 @@ These deliberately avoid the library's own measure implementations:
   the eigenvalue secular equation (the displacement norm of a channel is
   2*||B P + d|| ... with B=(A-I)/2, d=u/2 it IS the decoherence measure),
 * ``random_tp_chi`` draws random trace-preserving chi matrices by rejection
-  sampling on positive semidefiniteness.
+  sampling on positive semidefiniteness,
+* ``reference_choi`` simulates a code's corrected Choi state with dense
+  operators only, independently of ``decoq.sim``'s contractions.
 """
+import functools
+
 import numpy as np
 
 from decoq.channels import PAULI_BASIS, apply_chi, chi_from_parameters
@@ -92,3 +96,71 @@ def random_tp_chi(rng, zero_linear=True):
         chi = chi_from_parameters(c)
         if np.linalg.eigvalsh(chi).min() >= 1e-9:
             return chi
+
+
+def embed_operator(matrix, wires, m):
+    """``matrix`` acting on ``wires`` (in that order) as a 2^m x 2^m operator,
+    summed from np.kron products of 2x2 matrix units and identities."""
+    wires = tuple(wires)
+    k = len(wires)
+    full = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    for row, col in zip(*np.nonzero(matrix)):
+        term = np.ones((1, 1))
+        for w in range(m):
+            factor = np.eye(2)
+            if w in wires:
+                bit = k - 1 - wires.index(w)
+                factor = np.zeros((2, 2))
+                factor[(row >> bit) & 1, (col >> bit) & 1] = 1.0
+            term = np.kron(term, factor)
+        full += matrix[row, col] * term
+    return full
+
+
+def kraus_sum_on_wire(rho, operators, wire):
+    """sum_k K_k rho K_k^dag with each 2x2 K_k on one wire, entry by entry:
+    (K rho K^dag)[i, k] = sum_{j, l} K[i, j] rho[j, l] conj(K[k, l])."""
+    m = rho.shape[0].bit_length() - 1
+    a, b = 2 ** wire, 2 ** (m - wire - 1)
+    r = rho.reshape(a, 2, b, a, 2, b)
+    out = np.zeros_like(r)
+    for op in operators:
+        for i, j in zip(*np.nonzero(op)):
+            for k, l in zip(*np.nonzero(op)):
+                out[:, i, :, :, k, :] += (op[i, j] * op[k, l].conj()
+                                          * r[:, j, :, :, l, :])
+    return out.reshape(rho.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _gates_unitary(gates, n):
+    """Product of the embedded gate operators (cached per gate tuple)."""
+    u = np.eye(2 ** n, dtype=complex)
+    for g in gates:
+        u = embed_operator(g.matrix, g.wires, n) @ u
+    return u
+
+
+def reference_choi(code, per_wire):
+    """Choi state (data factor first) of ``code`` with one channel (or None)
+    per code wire, written without decoq.sim: np.kron-embedded gates, a
+    Kraus sum per wire, and a matrix partial trace."""
+    n = code.n
+    dim = 2 ** n
+    enc = _gates_unitary(code.encoder.gates, n)
+    # |Omega> = (|0>|0_L> + |1>|1_L>)/sqrt2 with the reference wire first,
+    # |b_L> = Enc |b 0...0> (the data wire is the top bit)
+    psi = np.concatenate([enc[:, 0], enc[:, dim // 2]]) / np.sqrt(2.0)
+    rho = np.outer(psi, psi.conj())
+    for w, ch in enumerate(per_wire):
+        if ch is not None:
+            rho = kraus_sum_on_wire(rho, ch.operators, 1 + w)
+    dec = _gates_unitary(code.decoder.gates + code.recovery, n)
+    tau = np.zeros((2, 2, 2, 2), dtype=complex)      # (data, ref, data', ref')
+    for r in (0, 1):
+        for rp in (0, 1):
+            block = dec @ rho[r * dim:(r + 1) * dim,
+                              rp * dim:(rp + 1) * dim] @ dec.conj().T
+            tau[:, r, :, rp] = np.trace(block.reshape(2, dim // 2, 2, dim // 2),
+                                        axis1=1, axis2=3)
+    return tau.reshape(4, 4)
