@@ -2,9 +2,9 @@
 
 D is the largest operator-norm displacement ||E(rho) - rho|| over all input
 states.  For diagonal chi matrices there is a closed form; unital channels
-reduce to an eigenvalue problem; channels with linear Bloch terms need the
-sphere search; and a brute-force grid straight from the Kraus operators
-cross-checks them all.
+reduce to the largest singular value of A - I; channels with a Bloch shift u
+need the exact secular-equation solution (which covers every channel); and
+a brute-force grid straight from the Kraus operators cross-checks them all.
 """
 import numpy as np
 
@@ -27,7 +27,7 @@ def show(name, chi, expected=None):
         rows.append(("quadratic form", measure_quadratic(chi)))
     except ValueError:
         rows.append(("quadratic form", None))
-    rows.append(("sphere search", measure_general(chi)))
+    rows.append(("secular equation", measure_general(chi)))
     rows.append(("dispatch", measure_auto(chi)))
     rows.append(("grid of 50000 states",
                  measure_by_definition(chi_to_kraus(chi), 50_000)))
@@ -47,7 +47,8 @@ c = np.zeros(13)
 c[1], c[3], c[11] = 0.12, 0.08, 0.05      # X weight, Z weight, Re chi_13
 show("anisotropic X/Z channel with coherence", chi_from_parameters(c))
 
-# amplitude damping: linear Bloch terms, only the search and the grid apply
+# amplitude damping: a Bloch shift u, only the secular equation and the grid
+# apply
 gamma_t = 1.0
 show(f"amplitude damping, Gamma*t = {gamma_t}",
      kraus_to_chi(build_channel("amplitude_damping", gamma_t)),

@@ -7,7 +7,7 @@ from .channels import (CptpReport, KrausChannel, apply_channel, apply_chi,
                        random_kraus_channel, verify_cptp)
 from .codes import (QecCode, bit_flip_code, build_recovery, code_by_name,
                     phase_flip_code, shor5_code, shor9_code, trivial_code)
-from .decoherence import (build_quadratic_form, fibonacci_sphere,
+from .decoherence import (bloch_map, fibonacci_sphere, is_diagonal,
                           measure_auto, measure_by_definition,
                           measure_diagonal, measure_general,
                           measure_quadratic)

@@ -26,7 +26,7 @@ from . import dqd as dqd_mod
 from . import noise
 from .channels import chi_to_choi, chi_to_kraus, kraus_to_chi, verify_cptp
 from .codes import CODE_NAMES, code_by_name
-from .decoherence import (measure_auto, measure_by_definition,
+from .decoherence import (is_diagonal, measure_auto, measure_by_definition,
                           measure_diagonal, measure_general)
 from .sweep import (CALIBRATED_CAP, ThreadCapError, break_even, fit_poly,
                     sweep)
@@ -84,10 +84,9 @@ def cmd_channel(args) -> int:
         print("measure: skipped (not a physical channel at this parameter)")
         return EXIT_OK
 
-    off = chi - np.diag(np.diag(chi))
-    if np.abs(off).max() <= 1e-10:
+    if is_diagonal(chi):
         print(f"D (diagonal rule):    {_fmt(measure_diagonal(np.diag(np.diag(chi))))}")
-    print(f"D (sphere search):    {_fmt(measure_general(chi))}")
+    print(f"D (secular equation): {_fmt(measure_general(chi))}")
     print(f"D (dispatch):         {_fmt(measure_auto(chi))}")
     grid = measure_by_definition(chi_to_kraus(chi), grid_density=20000)
     print(f"D (definition, grid): {_fmt(grid)}")
@@ -101,6 +100,11 @@ def _p_grid(args) -> np.ndarray:
         raise ValueError("--steps must be >= 1")
     if args.pmin > args.pmax:
         raise ValueError("--pmin must not exceed --pmax")
+    for flag, p in (("--pmax", args.pmax), ("--pmin", args.pmin)):
+        try:
+            noise.native_from_calibrated(args.channel, p)
+        except ValueError as exc:
+            raise ValueError(f"{flag} {p!r}: {args.channel} {exc}") from None
     return np.linspace(args.pmin, args.pmax, args.steps)
 
 

@@ -5,19 +5,23 @@ E - id is affine in rho and the norm is convex, the supremum is attained on
 pure states, i.e. on the Bloch sphere; every routine here therefore works
 with Bloch vectors P.
 
-For a trace-preserving qubit channel E(rho) - rho is traceless, and
-``||E(rho_P) - rho_P||^2`` is an explicit quadratic Q(P) = P^T M P + b.P + c
-in the Bloch vector.  The coefficients below were obtained by expanding
-``sum_ab chi_ab E_a rho E_b^dag - rho`` in the 12-parameter form of a
-trace-preserving chi matrix (see chi_parameters) and verified against the
-Bloch transfer-matrix construction: M = (A - I)^T (A - I)/4 whenever the
-linear parameters vanish.
+A trace-preserving qubit channel acts on Bloch vectors as the affine map
+P -> A P + u (``bloch_map`` reads A and u off chi with one constant table
+of Pauli traces).  E(rho_P) - rho_P = ((A - I) P + u).sigma / 2 has the
+eigenvalues +-|(A - I) P + u| / 2, so
+
+    D = max_{|P| = 1} |(A - I) P + u| / 2.
+
+Maximizing this convex function over the unit ball is a trust-region
+subproblem with an exact solution through a secular equation (More &
+Sorensen 1983; Gander, Golub & von Matt, "A constrained eigenvalue
+problem", 1989).
 
 Four routes to D are provided:
 
 * measure_diagonal   -- closed form for diagonal chi (Pauli channels),
-* measure_quadratic  -- sqrt of the top eigenvalue of M (needs b = 0),
-* measure_general    -- deterministic grid + refinement on sqrt(Q(P)),
+* measure_quadratic  -- sigma_max(A - I) / 2 for unital channels (u = 0),
+* measure_general    -- the secular-equation solution for any channel,
 * measure_by_definition -- brute-force grid maximum straight from the Kraus
   operators, used as an independent cross-check of the other three.
 """
@@ -25,11 +29,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, bloch_density, chi_parameters
+from .channels import PAULI_BASIS, KrausChannel
 
-DIAG_ATOL = 1e-12     # off-diagonal mass allowed by the diagonal shortcut
-LINEAR_ATOL = 1e-12   # linear-parameter mass allowed by the quadratic form
-AUTO_DIAG_ATOL = 1e-10
+DIAG_RTOL = 1e-10      # off-diagonal chi entries, per unit of error weight
+UNITAL_RTOL = 1e-12    # Bloch shift |u_i|, per unit of the largest |A - I|_ij
+ROUNDOFF_ATOL = 1e-15  # absolute floor of both tolerances
+NEWTON_MAX_ITER = 100  # secular-equation solves take at most about a dozen
+
+# _PAULI_TRACES[i, a, j, b] = Tr(s_i s_a s_j s_b) / 2 over s = I, X, Y, Z:
+# contracted with chi_ab it gives the Bloch component i of E(s_j / 2).
+_PAULI_TRACES = 0.5 * np.einsum("ixy,ayz,jzw,bwx->iajb",
+                                *[np.array(PAULI_BASIS)] * 4)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -43,156 +53,120 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def is_diagonal(chi: np.ndarray) -> bool:
+    """True when chi is diagonal (a Pauli channel) up to rounding.
+
+    The tolerance is relative to the error weight chi_11 + chi_22 + chi_33,
+    of which D is at least 2/3: a weakly damped channel, whose off-diagonal
+    entries are as small as its weight, is not diagonal.
+    """
+    chi = np.asarray(chi)
+    weight = abs((chi[1, 1] + chi[2, 2] + chi[3, 3]).real)
+    off = np.abs(chi - np.diag(np.diag(chi))).max()
+    return bool(off <= DIAG_RTOL * weight + ROUNDOFF_ATOL)
+
+
 def measure_diagonal(chi: np.ndarray) -> float:
     """D for a diagonal chi matrix: chi1 + chi2 + chi3 - min(chi1, chi2, chi3).
 
     Equivalently the largest pairwise sum of the three Pauli weights.
     """
     chi = np.asarray(chi)
-    off = chi - np.diag(np.diag(chi))
-    if np.abs(off).max() > DIAG_ATOL:
+    if not is_diagonal(chi):
         raise ValueError("chi matrix is not diagonal; use the general measure")
     c1, c2, c3 = chi[1, 1].real, chi[2, 2].real, chi[3, 3].real
     return c1 + c2 + c3 - min(c1, c2, c3)
 
 
-def _objective_terms(chi: np.ndarray):
-    """Coefficients (M, b, const) of ||E(rho_P) - rho_P||^2 = P^T M P + b.P + const."""
-    c = chi_parameters(chi)
-    m = np.empty((3, 3))
-    m[0, 0] = (c[10] ** 2 + 2 * c[10] * c[9] + c[11] ** 2 - 2 * c[11] * c[7]
-               + c[2] ** 2 + 2 * c[2] * c[3] + c[3] ** 2 + c[7] ** 2 + c[9] ** 2)
-    m[1, 1] = (c[1] ** 2 + 2 * c[1] * c[3] + c[10] ** 2 - 2 * c[10] * c[9]
-               + c[12] ** 2 + 2 * c[12] * c[5] + c[3] ** 2 + c[5] ** 2 + c[9] ** 2)
-    m[2, 2] = (c[1] ** 2 + 2 * c[1] * c[2] + c[11] ** 2 + 2 * c[11] * c[7]
-               + c[12] ** 2 - 2 * c[12] * c[5] + c[2] ** 2 + c[5] ** 2 + c[7] ** 2)
-    m[0, 1] = m[1, 0] = -(c[1] * c[10] + c[1] * c[9] + c[10] * c[2]
-                          + 2 * c[10] * c[3] - c[11] * c[12] - c[11] * c[5]
-                          + c[12] * c[7] - c[2] * c[9] + c[5] * c[7])
-    m[0, 2] = m[2, 0] = (-c[1] * c[11] + c[1] * c[7] + c[10] * c[12]
-                         - c[10] * c[5] - 2 * c[11] * c[2] - c[11] * c[3]
-                         + c[12] * c[9] - c[3] * c[7] - c[5] * c[9])
-    m[1, 2] = m[2, 1] = -(2 * c[1] * c[12] - c[10] * c[11] - c[10] * c[7]
-                          + c[11] * c[9] + c[12] * c[2] + c[12] * c[3]
-                          + c[2] * c[5] - c[3] * c[5] + c[7] * c[9])
-    b = np.array([
-        -4 * (-c[10] * c[6] - c[11] * c[8] + c[2] * c[4] + c[3] * c[4]
-              - c[6] * c[9] + c[7] * c[8]),
-        -4 * (c[1] * c[6] - c[10] * c[4] - c[12] * c[8] + c[3] * c[6]
-              + c[4] * c[9] - c[5] * c[8]),
-        -4 * (c[1] * c[8] - c[11] * c[4] - c[12] * c[6] + c[2] * c[8]
-              - c[4] * c[7] + c[5] * c[6]),
-    ])
-    const = 4 * (c[4] ** 2 + c[6] ** 2 + c[8] ** 2)
-    return m, b, const
+def bloch_map(chi: np.ndarray) -> tuple:
+    """(A, u) of the Bloch action P -> A P + u of a trace-preserving chi.
 
-
-def build_quadratic_form(chi: np.ndarray) -> np.ndarray:
-    """The 3x3 form M with D^2 = max_{|P|=1} P^T M P, valid when b vanishes.
-
-    Requires the three linear parameters (real parts of the first chi row's
-    off-diagonal entries) to be zero; such channels are unital and the
-    displacement norm is a pure quadratic form in the Bloch vector.
+    R_ij = sum_ab chi_ab Tr(s_i s_a s_j s_b) / 2 is the Bloch component i of
+    E(s_j / 2); A = R[1:, 1:] and u = R[1:, 0].
     """
     chi = np.asarray(chi)
-    c = chi_parameters(chi)
-    if max(abs(c[4]), abs(c[6]), abs(c[8])) > LINEAR_ATOL:
-        raise ValueError("chi has linear Bloch terms; the quadratic form "
-                         "does not capture them (use measure_general)")
-    m, _, _ = _objective_terms(chi)
-    return m
+    if chi.shape != (4, 4):
+        raise ValueError("chi matrix must be 4x4")
+    r = np.einsum("iajb,ab->ij", _PAULI_TRACES, chi).real
+    return r[1:, 1:], r[1:, 0]
+
+
+def _displacement_map(chi: np.ndarray) -> tuple:
+    """(A - I, u) for a trace-preserving chi.
+
+    The chi_00 term of R is chi_00 times the identity, so A - I is the Bloch
+    map of chi with chi_00 replaced by chi_00 - Tr chi = -(chi_11 + chi_22 +
+    chi_33); near the identity channel, A - I by subtraction loses digits.
+    """
+    chi = np.array(chi, dtype=complex)
+    chi[0, 0] = -(chi[1, 1] + chi[2, 2] + chi[3, 3])
+    return bloch_map(chi)
+
+
+def _is_unital(k: np.ndarray, u: np.ndarray) -> bool:
+    """u = 0 up to rounding: dropping u moves D by at most |u| / 2."""
+    tol = UNITAL_RTOL * np.abs(k).max() + ROUNDOFF_ATOL
+    return bool(np.abs(u).max() <= tol)
 
 
 def measure_quadratic(chi: np.ndarray) -> float:
-    """D as sqrt of the largest eigenvalue of the quadratic form."""
-    m = build_quadratic_form(chi)
-    return float(np.sqrt(max(np.linalg.eigvalsh(m)[-1], 0.0)))
+    """D = sigma_max(A - I) / 2 for a unital channel (u = 0).
 
-
-def _sphere_objective(m, b, const):
-    def f(p):
-        q = p @ m @ p + b @ p + const
-        return np.sqrt(q) if q > 0.0 else 0.0
-    return f
-
-
-def _refine_on_sphere(f, p0, iters: int) -> tuple:
-    """Deterministic coordinate ascent on the sphere.
-
-    Golden-section line searches along two orthogonal great circles through
-    the current point, with a window that shrinks once a pass stops moving.
+    D^2 is then the largest value of the quadratic form
+    P^T (A - I)^T (A - I) P / 4 on the unit sphere.
     """
-    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
-    p = np.array(p0, dtype=float)
-    p /= np.linalg.norm(p)
-    best = f(p)
-    half = np.pi / 2
-    for _ in range(iters):
-        moved = False
-        # orthonormal frame at p
-        seed = np.array([1.0, 0.0, 0.0]) if abs(p[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        t1 = np.cross(p, seed)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(p, t1)
-        for t in (t1, t2):
-            def on_circle(theta, p=p, t=t):
-                q = np.cos(theta) * p + np.sin(theta) * t
-                return q / np.linalg.norm(q)
+    k, u = _displacement_map(chi)
+    if not _is_unital(k, u):
+        raise ValueError("chi is not unital (its Bloch map shifts the "
+                         "origin); use measure_general")
+    return float(np.linalg.norm(k, 2) / 2.0)
 
-            a, bnd = -half, half
-            x1 = bnd - inv_gold * (bnd - a)
-            x2 = a + inv_gold * (bnd - a)
-            f1 = f(on_circle(x1))
-            f2 = f(on_circle(x2))
-            for _ in range(60):
-                if f1 < f2:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + inv_gold * (bnd - a)
-                    f2 = f(on_circle(x2))
-                else:
-                    bnd, x2, f2 = x2, x1, f1
-                    x1 = bnd - inv_gold * (bnd - a)
-                    f1 = f(on_circle(x1))
-            # best of: converged interior point, window endpoints
-            for theta in ((a + bnd) / 2, -half, half):
-                cand = on_circle(theta)
-                fc = f(cand)
-                if fc > best:
-                    best, p = fc, cand
-                    moved = True
-        if not moved:
-            half *= 0.6
-        if half < 1e-12:
+
+def _ball_argmax(mu: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Unit x maximizing x.diag(mu).x + 2 gt.x, for ascending ``mu``.
+
+    The maximizer is x_i = gt_i / (s + d_i) with d_i = mu_max - mu_i and the
+    root s >= 0 of the secular equation sum_i gt_i^2 / (s + d_i)^2 = 1.
+    Newton's method on 1/|x(s)| - 1, which is concave and increasing in s,
+    rises monotonically to the root from the lower bound max_i(|gt_i| - d_i).
+    Hard case: if gt has no component along the top eigenvector and
+    |x(0)| <= 1, then s = 0 and the rest of the unit length goes along it.
+    """
+    d = mu[-1] - mu
+    live = gt != 0.0               # zero components of gt stay zero in x
+    g, dl = gt[live], d[live]
+    x = np.zeros(3)
+    s = max(float(np.max(np.abs(g) - dl, initial=0.0)), 0.0)
+    y = g / (s + dl)               # s = 0 only if every live d_i >= |g_i| > 0
+    if s == 0.0 and y @ y <= 1.0:  # hard case
+        x[live] = y
+        x[-1] = np.sqrt(1.0 - y @ y)
+        return x
+    hi = float(np.linalg.norm(g))  # |x(hi)| <= 1 caps the iterates
+    for _ in range(NEWTON_MAX_ITER):
+        n2 = float(y @ y)
+        step = n2 * (np.sqrt(n2) - 1.0) / float(np.sum(y * y / (s + dl)))
+        s_next = min(s + step, hi)
+        if not s_next > s:
             break
-    return best, p
+        s = s_next
+        y = g / (s + dl)
+    x[live] = y / np.linalg.norm(y)
+    return x
 
 
-def measure_general(chi: np.ndarray, grid_density: int = 2048,
-                    refine_iters: int = 40) -> float:
-    """D by deterministic maximization of sqrt(Q(P)) over the unit sphere.
+def measure_general(chi: np.ndarray) -> float:
+    """D for any trace-preserving chi, exact to rounding.
 
-    Candidates are the six coordinate poles, the eigenvector directions of the
-    quadratic part, and a golden-angle lattice of ``grid_density`` points; the
-    best candidate is polished by golden-section coordinate ascent.  The two
-    eigenvalue branches of E(rho)-rho are +-sqrt(Q), so maximizing |.| over
-    both branches is the same as maximizing sqrt(Q).
+    With K = A - I, M = K^T K and g = K^T u, the maximum of
+    |K P + u|^2 = P.M P + 2 g.P + |u|^2 over |P| <= 1 is attained at
+    P = (lambda I - M)^{-1} g on the unit sphere, lambda >= mu_max; in the
+    eigenbasis of M that is the secular equation solved by _ball_argmax.
     """
-    if grid_density < 8:
-        raise ValueError("grid_density must be at least 8")
-    chi = np.asarray(chi)
-    m, b, const = _objective_terms(chi)
-
-    pts = [np.eye(3), -np.eye(3)]
-    w, v = np.linalg.eigh(m)
-    pts += [v.T, -v.T]
-    pts.append(fibonacci_sphere(grid_density))
-    pts = np.concatenate(pts, axis=0)
-
-    q = np.einsum("ni,ij,nj->n", pts, m, pts) + pts @ b + const
-    vals = np.sqrt(np.maximum(q, 0.0))
-    k = int(np.argmax(vals))
-    best, _ = _refine_on_sphere(_sphere_objective(m, b, const), pts[k], refine_iters)
-    return float(max(best, vals[k]))
+    k, u = _displacement_map(chi)
+    mu, v = np.linalg.eigh(k.T @ k)
+    p = v @ _ball_argmax(mu, v.T @ (k.T @ u))
+    return float(np.linalg.norm(k @ p + u) / 2.0)
 
 
 def measure_by_definition(channel: KrausChannel, grid_density: int = 10_000) -> float:
@@ -224,17 +198,19 @@ def measure_by_definition(channel: KrausChannel, grid_density: int = 10_000) -> 
     return float(vals.max())
 
 
-def measure_auto(chi: np.ndarray, grid_density: int = 2048,
-                 refine_iters: int = 40) -> float:
-    """Dispatch: diagonal shortcut, else quadratic form, else general search."""
+def measure_auto(chi: np.ndarray) -> float:
+    """Dispatch: diagonal closed form, else sigma_max when u = 0, else the
+    secular equation.
+
+    The routes are looked up as module globals at each call, so a wrapper
+    set on this module (a tracer, say) sees every dispatch.
+    """
     chi = np.asarray(chi, dtype=complex)
     tr = np.trace(chi).real
     if abs(tr) > 1e-8 and abs(tr - 1.0) > 1e-14:
         chi = chi / tr
-    off = chi - np.diag(np.diag(chi))
-    if np.abs(off).max() <= AUTO_DIAG_ATOL:
+    if is_diagonal(chi):
         return measure_diagonal(np.diag(np.diag(chi)))
-    c = chi_parameters(chi)
-    if max(abs(c[4]), abs(c[6]), abs(c[8])) <= LINEAR_ATOL:
+    if _is_unital(*_displacement_map(chi)):
         return measure_quadratic(chi)
-    return measure_general(chi, grid_density=grid_density, refine_iters=refine_iters)
+    return measure_general(chi)

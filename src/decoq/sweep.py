@@ -19,10 +19,12 @@ import numpy as np
 from .channels import choi_to_chi
 from .codes import code_by_name
 from .decoherence import measure_auto
-from .noise import from_calibrated_p
+from .noise import from_calibrated_p, native_from_calibrated
 from .sim import simulate_choi
 
-# largest calibrated p each channel family can represent
+# least upper bound of each family's calibrated p; the damping families
+# reach theirs only in the limit of infinite damping, so ``sweep`` (like
+# ``noise.native_from_calibrated``) refuses p at their cap
 CALIBRATED_CAP = {
     "bit_flip": 1.0,
     "phase_flip": 1.0,
@@ -84,13 +86,13 @@ def sweep(code_name: str, channel_kind: str, p_values,
     p_values = [float(p) for p in p_values]
     if code is None:
         code = code_by_name(code_name)
-    cap = CALIBRATED_CAP.get(channel_kind)
-    if cap is None:
+    if channel_kind not in CALIBRATED_CAP:
         raise ValueError(f"unknown channel kind {channel_kind!r}")
     for p in p_values:
-        if not 0.0 <= p <= cap:
-            raise ValueError(f"calibrated p={p} outside [0, {cap}] "
-                             f"for {channel_kind}")
+        try:
+            native_from_calibrated(channel_kind, p)
+        except ValueError as exc:
+            raise ValueError(f"{channel_kind}: {exc}, got {p!r}") from None
     with ThreadPoolExecutor(max_workers=_worker_count(len(p_values))) as pool:
         ds = list(pool.map(lambda p: _measure_point(code, channel_kind, p),
                            p_values))
@@ -145,6 +147,10 @@ def break_even(poly: PolyCoeffs, p_max: float = 1.0) -> BreakEven:
     D(p) - p, then bisection narrows it below 1e-12.  If D - p vanishes
     identically the crossing is everywhere ("all"); with no sign change
     the code beats (or loses to) the bare channel throughout ("none").
+    A root at p_max itself (|D(p_max) - p_max| < 1e-12) is not a crossing,
+    so rounding cannot decide the answer: under phase damping D(p) - p
+    vanishes at the cap p = 1/2 for the 3-qubit codes, and both report
+    "none" (bit3 loses and phase3 wins on all of [0, 1/2)).
     """
     lo = 1e-6
     if p_max <= lo:
@@ -153,6 +159,8 @@ def break_even(poly: PolyCoeffs, p_max: float = 1.0) -> BreakEven:
     g = poly.evaluate(grid) - grid
     if np.abs(g).max() < 1e-12:
         return BreakEven("all")
+    if abs(g[-1]) < 1e-12:
+        grid, g = grid[:-1], g[:-1]
     sign = np.sign(g)
     change = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
     change = [i for i in change if not (sign[i] == 0 and sign[i + 1] == 0)]

@@ -4,8 +4,10 @@ import random
 import warnings
 
 import numpy as np
+import pytest
 
 from decoq.cli import build_parser, main
+from decoq.sweep import CALIBRATED_CAP
 
 
 def test_channel_report(capsys):
@@ -22,7 +24,7 @@ def test_channel_report_with_complex_chi(capsys):
     out = capsys.readouterr().out
     assert "chi matrix (imag part):" in out
     d = 1.0 - np.exp(-1.0)
-    assert f"D (sphere search):    {d:.11e}" in out
+    assert f"D (secular equation): {d:.11e}" in out
 
 
 def test_channel_unphysical_parameter(capsys):
@@ -71,6 +73,33 @@ def test_sweep_exit_codes(capsys):
                  "--steps", "0"]) == 3
     assert main(["sweep", "--code", "bit3", "--channel", "depolarizing",
                  "--pmax", "0.9", "--steps", "3"]) == 3
+
+
+@pytest.mark.parametrize("kind", sorted(CALIBRATED_CAP))
+def test_sweep_at_calibrated_cap(kind, capsys):
+    # the damping families reach their cap only at infinite damping
+    cap = CALIBRATED_CAP[kind]
+    argv = ["sweep", "--code", "bit3", "--channel", kind,
+            "--pmin", repr(cap), "--pmax", repr(cap), "--steps", "1"]
+    if kind in ("amplitude_damping", "phase_damping"):
+        assert main(argv) == 3
+        half_open = {"amplitude_damping": "[0, 1)",
+                     "phase_damping": "[0, 1/2)"}[kind]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --pmax {cap!r}: {kind} calibrated p must lie in "
+            f"{half_open}"]
+    else:
+        assert main(argv) == 0
+        p, d0, d = map(float, capsys.readouterr().out.splitlines()[1].split(","))
+        assert abs(p - cap) < 1e-11 and abs(d0 - cap) < 1e-11
+
+
+def test_fit_break_even_at_the_cap_is_none(capsys):
+    # under phase damping D(p) - p vanishes at the cap p = 1/2 for bit3
+    # (which loses on [0, 1/2)) and phase3 (which wins there)
+    for code in ("bit3", "phase3"):
+        assert main(["fit", "--code", code, "--channel", "phase_damping"]) == 0
+        assert "break_even: none" in capsys.readouterr().out.splitlines()
 
 
 def test_sweep_svg(tmp_path):

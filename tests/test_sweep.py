@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from decoq.sweep import (PolyCoeffs, break_even, fit_poly, scale_for_n_ops,
-                         sweep)
+from decoq.sweep import (CALIBRATED_CAP, PolyCoeffs, break_even, fit_poly,
+                         scale_for_n_ops, sweep)
 
 
 def test_sweep_known_values():
@@ -27,6 +27,13 @@ def test_sweep_trivial_code_returns_bare_measure():
 def test_sweep_range_and_name_checks():
     with pytest.raises(ValueError):
         sweep("bit3", "depolarizing", (0.7,))
+    # the range check agrees with noise.native_from_calibrated at each cap
+    for kind, cap in CALIBRATED_CAP.items():
+        if kind in ("amplitude_damping", "phase_damping"):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1(/2)?\)"):
+                sweep("bit3", kind, (cap,))
+        else:
+            assert abs(sweep("none", kind, (cap,)).samples[0][1] - cap) < 1e-12
     with pytest.raises(ValueError):
         sweep("bit3", "gauss", (0.1,))
     with pytest.raises(ValueError):
@@ -91,6 +98,19 @@ def test_break_even():
     assert break_even(PolyCoeffs((0.5,))).status == "none"
     with pytest.raises(ValueError):
         break_even(poly, p_max=1e-7)
+
+
+def test_break_even_ignores_a_root_at_p_max():
+    # D(p) - p = +-p (1 - 2p) has its only root in (0, 1/2] at p_max = 1/2;
+    # rounding of either sign at the end of the range must not decide
+    for sign in (1.0, -1.0):
+        for nudge in (0.0, 1e-15, -1e-15):
+            poly = PolyCoeffs((1.0 + sign + nudge, -2.0 * sign))
+            assert break_even(poly, p_max=0.5).status == "none"
+    # a crossing just inside p_max is still found
+    poly = PolyCoeffs((2.0, -1.0 / 0.499))
+    be = break_even(poly, p_max=0.5)
+    assert be.status == "found" and abs(be.p - 0.499) < 1e-10
 
 
 def test_scale_for_n_ops():
