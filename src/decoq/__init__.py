@@ -1,9 +1,9 @@
 """Decoherence measures for single-qubit channels and measurement-free QEC."""
 
 from .channels import (CptpReport, KrausChannel, apply_channel, apply_chi,
-                       bloch_density, chi_from_parameters, chi_parameters,
-                       chi_to_choi, chi_to_kraus, choi_to_chi, kraus_to_chi,
-                       kraus_to_choi, maximally_entangled, random_density,
+                       bloch_density, chi_from_parameters, chi_to_choi,
+                       chi_to_kraus, choi_to_chi, kraus_to_chi, kraus_to_choi,
+                       maximally_entangled, random_density,
                        random_kraus_channel, verify_cptp)
 from .codes import (QecCode, bit_flip_code, build_recovery, code_by_name,
                     phase_flip_code, shor5_code, shor9_code, trivial_code)
@@ -11,19 +11,17 @@ from .decoherence import (bloch_map, fibonacci_sphere, is_diagonal,
                           measure_auto, measure_by_definition,
                           measure_diagonal, measure_general,
                           measure_quadratic)
-from .dqd import (ConvergenceError, DqdParams, QuadratureConfig, amp_poly,
-                  default_params, dqd_decoherence, dqd_error_probs,
-                  load_params, params_from_units, phase_poly,
+from .dqd import (DqdParams, amp_poly, default_params, dqd_decoherence,
+                  dqd_error_probs, load_params, params_from_units, phase_poly,
                   relaxation_rate, spectral_function)
 from .noise import (CHANNEL_KINDS, NoiseSpec, amplitude_damping, bit_flip,
                     build_channel, calibrated_probability, chi_formula,
                     depolarizing, format_spec, from_calibrated_p, make_spec,
-                    native_from_calibrated, parse_spec, phase_damping,
-                    phase_flip, spec_channel)
+                    native_from_calibrated, phase_damping, phase_flip)
 from .sim import (Circuit, Gate, apply_gate, block_unitary, cnot,
                   controlled_pauli, cz, hadamard, partial_trace, pauli_gate,
                   simulate_choi, toffoli)
 from .sweep import (BreakEven, PolyCoeffs, SweepResult, break_even, fit_poly,
-                    scale_for_n_ops, sweep)
+                    sweep)
 
 __version__ = "0.1.0"

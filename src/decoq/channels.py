@@ -218,11 +218,11 @@ def verify_cptp(chi: np.ndarray, atol_tp: float = 1e-10) -> CptpReport:
                       min_eigenvalue=float(w.min()))
 
 
-def chi_parameters(chi: np.ndarray) -> np.ndarray:
-    """Read the 12 independent real parameters of a trace-preserving chi.
+def chi_from_parameters(c: np.ndarray) -> np.ndarray:
+    """Build the trace-preserving chi matrix from 12 real parameters.
 
-    Returns an array ``c`` of length 13 (index 0 holds the dependent entry
-    chi_00) with the layout
+    ``c`` has length 13 (index 0 is ignored; chi_00 is recomputed from the
+    unit-trace constraint) with the layout
 
     ``c[1..3]``  = diagonal entries chi_11, chi_22, chi_33,
     ``c[4],c[5]`` = Re, Im of chi_01,   ``c[6],c[7]`` = Re, Im of chi_02,
@@ -231,23 +231,6 @@ def chi_parameters(chi: np.ndarray) -> np.ndarray:
 
     For a trace-preserving channel the remaining imaginary parts are fixed:
     Im chi_12 = -c[8], Im chi_13 = +c[6], Im chi_23 = -c[4].
-    """
-    chi = np.asarray(chi)
-    c = np.zeros(13)
-    c[0] = chi[0, 0].real
-    c[1], c[2], c[3] = chi[1, 1].real, chi[2, 2].real, chi[3, 3].real
-    c[4], c[5] = chi[0, 1].real, chi[0, 1].imag
-    c[6], c[7] = chi[0, 2].real, chi[0, 2].imag
-    c[8], c[9] = chi[0, 3].real, chi[0, 3].imag
-    c[10], c[11], c[12] = chi[1, 2].real, chi[1, 3].real, chi[2, 3].real
-    return c
-
-
-def chi_from_parameters(c: np.ndarray) -> np.ndarray:
-    """Build the trace-preserving chi matrix from the 12-parameter layout.
-
-    Accepts the length-13 layout of chi_parameters (index 0 ignored; the
-    (0,0) entry is recomputed from the unit-trace constraint).
     """
     c = np.asarray(c, dtype=float)
     chi = np.array([

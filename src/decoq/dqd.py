@@ -4,9 +4,9 @@ Maps device parameters (deformation potential, sound speed, crystal density,
 dot separation/radius, phonon wavevector) to
 
 * a relaxation rate Gamma (closed form),
-* a dephasing spectral function B^2(t) (panelized Gauss-Legendre quadrature
-  of an oscillatory 1-d integral over the phonon wavevector q; the angular
-  integral is done in closed form),
+* a dephasing spectral function B^2(t) (closed form: the integral over the
+  phonon wavevector is a sum of Dawson's integrals, evaluated to double
+  precision in numpy),
 * error probabilities p1 = 1 - exp(-Gamma t), p2 = (1 - exp(-B^2))/2,
   optionally scaled by an operation count N and clamped to their calibrated
   ranges,
@@ -25,19 +25,6 @@ import numpy as np
 
 HBAR = 1.054571817e-34        # J s
 EV = 1.602176634e-19          # J
-
-
-# most q nodes one B^2 evaluation may allocate; the default grid
-# (t <= 1e-9 s) peaks at about 2e6 after every node doubling
-MAX_QUADRATURE_NODES = 2 ** 22
-
-
-class ConvergenceError(Exception):
-    """Quadrature failed to reach the requested tolerance within budget."""
-
-
-class QuadratureSizeError(ValueError):
-    """The panel rule at this t needs more than MAX_QUADRATURE_NODES nodes."""
 
 
 @dataclass(frozen=True)
@@ -96,33 +83,6 @@ def load_params(path) -> DqdParams:
     return params_from_units(**{k: float(v) for k, v in raw.items()})
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node count and truncation for the B^2 integral over q.
-
-    The q integral is cut off at q_max = q_max_factor / dot_radius (the
-    integrand carries exp(-(a q)^2/2), so factor 8 leaves a 1e-14 tail) and
-    split into panels short enough to resolve the sin^2 oscillations.  The
-    per-panel node count starts at outer_nodes and doubles up to
-    max_refinements times until the relative change drops below rel_tol.
-    """
-    outer_nodes: int = 32
-    q_max_factor: float = 8.0
-    rel_tol: float = 1e-7
-    max_refinements: int = 6
-
-    def __post_init__(self):
-        if self.outer_nodes < 16:
-            raise ValueError("outer_nodes must be at least 16")
-        if self.q_max_factor < 6.0:
-            raise ValueError("q_max_factor must be at least 6 "
-                             "(smaller cutoffs truncate real mass)")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
-
-
 def relaxation_rate(params: DqdParams) -> float:
     """Gamma = Xi^2 k^3 / (4 pi rho s^2 hbar) * exp(-(a k)^2/2) * (1 - sinc(kL))."""
     xi = params.deformation_potential
@@ -136,64 +96,99 @@ def relaxation_rate(params: DqdParams) -> float:
             * bracket)
 
 
-def _b2_once(params: DqdParams, t: float, nodes: int, q_max: float) -> float:
-    """One panelized Gauss-Legendre evaluation of the B^2 q integral."""
+# Dawson's integral F(x) = exp(-x^2) int_0^x exp(u^2) du, to double precision:
+# a Taylor series below 0.2, Rybicki's sampling-theorem series
+# F(x) = pi^(-1/2) sum_{n odd} exp(-(x - n h)^2)/n (error about
+# exp(-(pi/2h)^2) ~ 1e-27 at h = 0.2) up to 10, the asymptotic series
+# F(x) ~ (1/2x) sum_k (2k-1)!!/(2x^2)^k beyond.  G. B. Rybicki, Computers in
+# Physics 3, 85 (1989); Cody, Paciorek & Thacher, Math. Comp. 24, 171 (1970).
+_TAYLOR_MAX = 0.2
+_ASYMPTOTIC_MIN = 10.0
+_TAYLOR_TERMS = 10          # the next term is below 1e-21 at x = 0.2
+_ASYMPTOTIC_TERMS = 14      # the next term is below 2e-18 at x = 10
+_H = 0.2
+# sample indices n - n0 around n0, the even integer nearest x/h; the outer
+# samples lie at least 8.2 - 0.2 - 1 = 7 from x + d for any |d| <= 1 (below),
+# where exp(-49) is negligible
+_ODD = np.arange(-41, 42, 2)
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _rybicki_samples(x: float):
+    """(u, n): the offsets u = x - n h and the odd sample indices n near x."""
+    n0 = 2.0 * round(x / (2.0 * _H))
+    return (x - n0 * _H) - _ODD * _H, _ODD + n0
+
+
+def dawson(x: float) -> float:
+    """Dawson's integral F(x) = exp(-x^2) int_0^x exp(u^2) du (odd in x)."""
+    ax = abs(x)
+    if ax < _TAYLOR_MAX:
+        # F(x) = x sum_k (-2x^2)^k/(2k+1)!!
+        s = 1.0
+        for k in range(_TAYLOR_TERMS - 1, 0, -1):
+            s = 1.0 - 2.0 * ax * ax * s / (2 * k + 1)
+        value = ax * s
+    elif ax < _ASYMPTOTIC_MIN:
+        u, n = _rybicki_samples(ax)
+        value = math.fsum(np.exp(-u * u) / n) / _SQRT_PI
+    else:
+        w = 0.5 / ax / ax                    # 0 for a huge (or infinite) x
+        s = 1.0
+        for k in range(_ASYMPTOTIC_TERMS - 1, 0, -1):
+            s = 1.0 + (2 * k - 1) * w * s
+        value = 0.5 * s / ax
+    return math.copysign(value, x)
+
+
+def _second_difference(y: float, d: float) -> float:
+    """F(y) - F(y + d)/2 - F(y - d)/2, without cancellation at small d.
+
+    For d <= 1 each Rybicki Gaussian is differenced exactly:
+    exp(-(u+d)^2)/2 + exp(-(u-d)^2)/2 - exp(-u^2)
+    = exp(-u^2) (expm1(-d^2) cosh(2ud) + 2 sinh(ud)^2).
+    Beyond that the plain difference is used: its rounding error, about
+    1e-16 F(y), is then at most about 1e-16 F(y)/y of B^2.
+    """
+    if d <= 1.0:
+        u, n = _rybicki_samples(y)
+        g = np.exp(-u * u) * (math.expm1(-d * d) * np.cosh(2.0 * u * d)
+                              + 2.0 * np.sinh(u * d) ** 2)
+        return -math.fsum(g / n) / _SQRT_PI
+    return dawson(y) - 0.5 * dawson(y + d) - 0.5 * dawson(y - d)
+
+
+def spectral_function(params: DqdParams, t: float) -> float:
+    """B^2(t) in closed form.
+
+    B^2 = pref int_0^inf q exp(-beta q^2) sin^2(c q/2) (1 - sin(2qL)/(2qL)) dq
+    with beta = a^2/2, c = s t and pref = Xi^2/(pi^2 hbar rho s^3).  With
+    y = L/sqrt(beta), delta = c/(2 sqrt(beta)) and Dawson's integral F,
+
+        B^2 = pref [c F(delta)/(4 beta^(3/2))
+                    - (F(y) - F(y + delta)/2 - F(y - delta)/2)/(4 L sqrt(beta))],
+
+    which tends to pref [1/(2a^2) - F(y)/(4 L sqrt(beta))] as t -> inf; that
+    limit is returned once delta overflows.  The two terms cancel as y -> 0,
+    where B^2 ~ y^2: the relative error grows like 1e-15/y^2 there, and a
+    result that round-off pushes below zero is returned as 0.
+    """
+    t = float(t)          # a huge t overflows to inf without a numpy warning
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
     a = params.dot_radius
     ell = params.dot_separation
     s = params.sound_speed
-
-    # the integrand oscillates with combined phase q*(2L + s t); keep each
-    # panel to a few oscillation periods so the per-panel node count wins
-    cycles = q_max * (2.0 * ell + s * t) / (2.0 * np.pi)
-    panels = max(8.0, np.ceil(cycles / 4.0))
-    if panels * nodes > MAX_QUADRATURE_NODES:         # sized before allocating
-        raise QuadratureSizeError(
-            f"B^2({t}) needs {panels * nodes:.3g} quadrature nodes, "
-            f"above the limit of {MAX_QUADRATURE_NODES}")
-    n_panels = int(panels)
-    edges = np.linspace(0.0, q_max, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    q = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
-    wq = (half[:, None] * w[None, :]).reshape(-1)
-
-    # int_0^pi sin^2(q L cos(theta)) sin(theta) dtheta = 1 - sin(2qL)/(2qL);
-    # Gauss nodes are interior, so q > 0
-    two_ql = 2.0 * q * ell
-    angular = 1.0 - np.sin(two_ql) / two_ql
-    radial = q * np.exp(-(a * q) ** 2 / 2.0) * np.sin(q * s * t / 2.0) ** 2
     xi = params.deformation_potential
-    pref = xi * xi / (np.pi ** 2 * params.hbar
-                      * params.crystal_density * s ** 3)
-    return pref * float((radial * angular) @ wq)
-
-
-def spectral_function(params: DqdParams, t: float,
-                      cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """B^2(t) by panelized quadrature with node-doubling convergence control.
-
-    Raises QuadratureSizeError when t is so large that one evaluation would
-    need more than MAX_QUADRATURE_NODES nodes.
-    """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    q_max = cfg.q_max_factor / params.dot_radius
-    nodes = cfg.outer_nodes
-    value = _b2_once(params, t, nodes, q_max)
-    for _ in range(cfg.max_refinements):
-        nodes *= 2
-        refined = _b2_once(params, t, nodes, q_max)
-        scale = max(abs(refined), 1e-300)
-        if abs(refined - value) / scale < cfg.rel_tol:
-            return refined
-        value = refined
-    raise ConvergenceError(
-        f"B^2({t}) did not converge to rel_tol={cfg.rel_tol} "
-        f"within {cfg.max_refinements} node doublings")
+    pref = xi * xi / (math.pi ** 2 * params.hbar * params.crystal_density
+                      * s ** 3)
+    root_beta = a / math.sqrt(2.0)
+    delta = s * t / (2.0 * root_beta)
+    # c F(delta)/(4 beta^(3/2)) = delta F(delta)/a^2, and delta F(delta) -> 1/2
+    delta_f = 0.5 if math.isinf(delta) else delta * dawson(delta)
+    return pref * max(0.0, delta_f / (a * a)
+                      - _second_difference(ell / root_beta, delta)
+                      / (4.0 * ell * root_beta))
 
 
 def amp_poly(p: float) -> float:
@@ -206,8 +201,7 @@ def phase_poly(p: float) -> float:
     return 10.0 * p * p * (1.0 - 2.0 * p + p * p)
 
 
-def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1,
-                    cfg: QuadratureConfig = QuadratureConfig()):
+def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1):
     """(p1, p2, clamped): relaxation and dephasing error probabilities.
 
     p1 = 1 - exp(-Gamma t) and p2 = (1 - exp(-B^2(t)))/2 are scaled by the
@@ -220,7 +214,7 @@ def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1,
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
     p1 = -math.expm1(-relaxation_rate(params) * t)
-    p2 = -math.expm1(-spectral_function(params, t, cfg)) / 2.0
+    p2 = -math.expm1(-spectral_function(params, t)) / 2.0
     p1, p2 = n_ops * p1, n_ops * p2
     clamped = False
     if p1 > 1.0:
@@ -230,15 +224,14 @@ def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1,
     return p1, p2, clamped
 
 
-def dqd_decoherence(params: DqdParams, t: float, n_ops: int = 1,
-                    cfg: QuadratureConfig = QuadratureConfig()):
+def dqd_decoherence(params: DqdParams, t: float, n_ops: int = 1):
     """(D0, D): uncorrected and 5-qubit-corrected decoherence at cycle time t.
 
     D0 is the larger of the two single-qubit error probabilities; D is the
     larger of the two corrected closed-form polynomials, evaluated at the
     scaled (and possibly clamped) probabilities.
     """
-    p1, p2, _ = dqd_error_probs(params, t, n_ops, cfg)
+    p1, p2, _ = dqd_error_probs(params, t, n_ops)
     d0 = max(p1, p2)
     d = max(amp_poly(p1), phase_poly(p2))
     return d0, d

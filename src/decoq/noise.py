@@ -14,10 +14,12 @@ equal single-qubit error strength.
     amplitude_damping   Gamma*t >= 0 1 - exp(-Gamma*t)
     phase_damping       B^2 >= 0     (1 - exp(-B^2))/2
 
-Amplitude damping is written in the |+>/|-> eigenbasis of the coupling (its
-matrices act on that frame); the frame tag travels with the NoiseSpec, and
-QEC circuits treat either frame identically since errors are conjugated by
-basis-change gates anyway.
+Every family's Kraus and chi matrices act in the computational basis.  A
+NoiseSpec records amplitude damping's physical frame (the |+>/|-> eigenbasis
+of the double-dot coupling) as ``frame="plus_minus"``, but the tag is not
+applied anywhere, and the frame does change QEC results: the 3-qubit bit-flip
+code under amplitude damping at Gamma*t = 0.05 gives D = 0.0363 with the
+matrices as they are and 0.0701 with them conjugated by a Hadamard.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PAULI_I, PAULI_X, PAULI_Z, KrausChannel
+from .channels import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, KrausChannel
 
 CHANNEL_KINDS = ("bit_flip", "phase_flip", "depolarizing",
                  "amplitude_damping", "phase_damping")
@@ -44,9 +46,9 @@ _RANGE_MSG = {
 class NoiseSpec:
     """A channel family plus its native parameter and calibrated probability.
 
-    ``frame`` records the single-qubit basis the Kraus matrices act in:
-    "computational" for the flip/depolarizing/phase-damping families,
-    "plus_minus" for amplitude damping.
+    ``frame`` names the physical basis of the family, "computational" for
+    the flip/depolarizing/phase-damping families and "plus_minus" for
+    amplitude damping; it is a label only (the matrices are not rotated).
     """
     kind: str
     native_param: float
@@ -77,19 +79,17 @@ def depolarizing(p: float) -> KrausChannel:
         raise ValueError(_RANGE_MSG["depolarizing"])
     w = np.sqrt(max(1.0 - 1.5 * p, 0.0))
     h = np.sqrt(p / 2.0)
-    return KrausChannel((w * PAULI_I,
-                         h * np.array([[0, 1], [1, 0]], dtype=complex),
-                         h * np.array([[0, -1j], [1j, 0]], dtype=complex),
-                         h * np.array([[1, 0], [0, -1]], dtype=complex)))
+    return KrausChannel((w * PAULI_I, h * PAULI_X, h * PAULI_Y, h * PAULI_Z))
 
 
 def amplitude_damping(gamma_t: float) -> KrausChannel:
-    """Energy relaxation with decay exponent Gamma*t (in the +/- frame)."""
+    """Energy relaxation |1> -> |0> with decay exponent Gamma*t."""
     if gamma_t < 0.0:
         raise ValueError(_RANGE_MSG["amplitude_damping"])
     decay = math.exp(-gamma_t)
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(decay)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(1.0 - decay)], [0.0, 0.0]], dtype=complex)
+    k1 = np.array([[0.0, math.sqrt(-math.expm1(-gamma_t))], [0.0, 0.0]],
+                  dtype=complex)
     return KrausChannel((k0, k1))
 
 
@@ -98,7 +98,7 @@ def phase_damping(b_sq: float) -> KrausChannel:
     if b_sq < 0.0:
         raise ValueError(_RANGE_MSG["phase_damping"])
     keep = math.exp(-b_sq)
-    leak = math.sqrt(1.0 - keep)
+    leak = math.sqrt(-math.expm1(-b_sq))
     return KrausChannel((math.sqrt(keep) * PAULI_I,
                          leak * np.diag([1.0, 0.0]).astype(complex),
                          leak * np.diag([0.0, 1.0]).astype(complex)))
@@ -174,11 +174,6 @@ def make_spec(kind: str, *, native: float | None = None,
     return NoiseSpec(kind, float(native), calibrated_probability(kind, native), frame)
 
 
-def spec_channel(spec: NoiseSpec) -> KrausChannel:
-    """The KrausChannel described by a NoiseSpec."""
-    return build_channel(spec.kind, spec.native_param)
-
-
 def chi_formula(kind: str, native: float) -> np.ndarray:
     """Closed-form chi matrix of the family at the given native parameter.
 
@@ -196,11 +191,11 @@ def chi_formula(kind: str, native: float) -> np.ndarray:
                         native / 2.0, native / 2.0]).astype(complex)
     if kind == "amplitude_damping":
         root = math.exp(-native / 2.0)
-        q = 1.0 - root * root
+        q = -math.expm1(-native)
         chi = np.zeros((4, 4), dtype=complex)
         chi[0, 0] = (1.0 + root) ** 2 / 4.0
         chi[1, 1] = chi[2, 2] = q / 4.0
-        chi[3, 3] = (1.0 - root) ** 2 / 4.0
+        chi[3, 3] = math.expm1(-native / 2.0) ** 2 / 4.0
         chi[0, 3] = chi[3, 0] = q / 4.0
         chi[1, 2] = -1j * q / 4.0
         chi[2, 1] = 1j * q / 4.0
@@ -208,7 +203,7 @@ def chi_formula(kind: str, native: float) -> np.ndarray:
     if kind == "phase_damping":
         keep = math.exp(-native)
         return np.diag([(1.0 + keep) / 2.0, 0.0, 0.0,
-                        (1.0 - keep) / 2.0]).astype(complex)
+                        -math.expm1(-native) / 2.0]).astype(complex)
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
@@ -217,24 +212,3 @@ def format_spec(spec: NoiseSpec) -> str:
     if spec.kind in ("bit_flip", "phase_flip", "depolarizing"):
         return f"kind={spec.kind},p={spec.calibrated_p!r}"
     return f"kind={spec.kind},native={spec.native_param!r}"
-
-
-def parse_spec(text: str) -> NoiseSpec:
-    """Parse the CLI text form: ``kind=<name>,p=<real>`` or ``kind=<name>,native=<real>``."""
-    fields = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed noise spec field {part!r}")
-        fields[key.strip()] = value.strip()
-    if "kind" not in fields:
-        raise ValueError("noise spec needs kind=<name>")
-    kind = fields.pop("kind")
-    if set(fields) == {"p"}:
-        return make_spec(kind, p=float(fields["p"]))
-    if set(fields) == {"native"}:
-        return make_spec(kind, native=float(fields["native"]))
-    raise ValueError("noise spec needs exactly one of p=<real> or native=<real>")

@@ -24,18 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, maximally_entangled
+from .channels import (PAULI_BASIS, PAULI_LABELS, KrausChannel,
+                       maximally_entangled)
 
 MAX_WIRES = 11
 UNITARY_ATOL = 1e-12
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_PAULIS_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULIS_1Q = dict(zip(PAULI_LABELS, PAULI_BASIS))
 
 
 @dataclass(frozen=True, eq=False)

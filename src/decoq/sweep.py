@@ -22,9 +22,10 @@ from .decoherence import measure_auto
 from .noise import from_calibrated_p, native_from_calibrated
 from .sim import simulate_choi
 
-# least upper bound of each family's calibrated p; the damping families
-# reach theirs only in the limit of infinite damping, so ``sweep`` (like
-# ``noise.native_from_calibrated``) refuses p at their cap
+# least upper bound of each family's calibrated p, where ``decoq fit`` ends
+# its break-even search; the damping families reach theirs only in the limit
+# of infinite damping, so ``sweep`` (like ``noise.native_from_calibrated``)
+# refuses p at their cap
 CALIBRATED_CAP = {
     "bit_flip": 1.0,
     "phase_flip": 1.0,
@@ -178,19 +179,3 @@ def break_even(poly: PolyCoeffs, p_max: float = 1.0) -> BreakEven:
         else:
             b = mid
     return BreakEven("found", float(0.5 * (a + b)))
-
-
-def scale_for_n_ops(p: float, n_ops: int, kind: str = "bit_flip"):
-    """Error probability after n_ops operations: n_ops * p, capped at the
-    channel's calibrated range maximum.  Returns (scaled, clamped_flag)."""
-    if n_ops < 1:
-        raise ValueError("n_ops must be >= 1")
-    if p < 0.0:
-        raise ValueError("p must be >= 0")
-    cap = CALIBRATED_CAP.get(kind)
-    if cap is None:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    scaled = n_ops * p
-    if scaled > cap:
-        return cap, True
-    return scaled, False

@@ -4,9 +4,9 @@ import pytest
 
 from decoq.channels import (PAULI_BASIS, PAULI_X, KrausChannel, apply_channel,
                             apply_chi, bloch_density, chi_from_parameters,
-                            chi_parameters, chi_to_choi, chi_to_kraus,
-                            choi_to_chi, devectorize, kraus_to_chi,
-                            kraus_to_choi, maximally_entangled, random_density,
+                            chi_to_choi, chi_to_kraus, choi_to_chi,
+                            devectorize, kraus_to_chi, kraus_to_choi,
+                            maximally_entangled, random_density,
                             random_kraus_channel, vectorize, verify_cptp)
 from decoq.noise import chi_formula
 
@@ -91,11 +91,22 @@ def test_verify_cptp_verdicts():
     assert bad.min_eigenvalue < -1e-4
 
 
+def _chi_parameters(chi):
+    """The 13-entry layout of chi_from_parameters, read off a chi matrix."""
+    c = np.zeros(13)
+    c[0] = chi[0, 0].real
+    c[1:4] = np.diag(chi)[1:].real
+    c[4:10] = [chi[0, 1].real, chi[0, 1].imag, chi[0, 2].real,
+               chi[0, 2].imag, chi[0, 3].real, chi[0, 3].imag]
+    c[10:13] = [chi[1, 2].real, chi[1, 3].real, chi[2, 3].real]
+    return c
+
+
 def test_chi_parameter_layout_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(10):
         chi = util.random_tp_chi(rng, zero_linear=False)
-        c = chi_parameters(chi)
+        c = _chi_parameters(chi)
         assert np.abs(chi_from_parameters(c) - chi).max() < 1e-12
         assert verify_cptp(chi).trace_preserving
 

@@ -1,5 +1,6 @@
 """Exit codes, CSV determinism, and report content of the command line tool."""
 import argparse
+import math
 import random
 import warnings
 
@@ -155,7 +156,7 @@ def test_dqd_exit_codes(tmp_path, capsys):
     assert main(["dqd", "--params", str(missing), "--steps", "1"]) == 2
     assert main(["dqd", "--tmin", "0", "--steps", "1"]) == 3
     assert main(["dqd", "--steps", "0"]) == 3
-    # non-finite bounds are rejected before any quadrature is planned
+    # non-finite bounds are rejected before any B^2(t) is evaluated
     for flag, value in (("--tmax", "inf"), ("--tmax", "nan"),
                         ("--tmin", "nan"), ("--tmin", "inf")):
         capsys.readouterr()
@@ -163,15 +164,20 @@ def test_dqd_exit_codes(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_dqd_huge_tmax_is_a_range_error(capsys):
-    for value in ("1e-3", "1e300"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")       # no numpy overflow warning
-            assert main(["dqd", "--tmin", value, "--tmax", value,
-                         "--steps", "1"]) == 3
-        err = capsys.readouterr().err
-        assert "--tmax" in err
-        assert len(err.splitlines()) == 1
+def test_dqd_huge_tmax_reaches_the_long_time_limit(capsys):
+    # B^2(t) is in closed form, so any finite --tmax is accepted; past
+    # t ~ 1e-8 s the dephasing is at its limit B^2(inf)
+    limit = -math.expm1(-0.008776581953207073) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")           # no numpy overflow warning
+        assert main(["dqd", "--tmin", "1e-3", "--tmax", "1.7e308",
+                     "--steps", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "1.00000000000e-03", "4.12310562562e+152", "1.70000000000e+308"]
+    assert {row.split(",")[2] for row in rows} == {f"{limit:.11e}"}
 
 
 # the smallest valid command line of each subcommand

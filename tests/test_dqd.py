@@ -1,19 +1,21 @@
 """Phonon rates, the dephasing integral, and the derived error curves."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from decoq import dqd
-from decoq.dqd import (EV, ConvergenceError, DqdParams, QuadratureConfig,
-                       QuadratureSizeError, amp_poly, default_params,
+from decoq.dqd import (EV, DqdParams, amp_poly, dawson, default_params,
                        dqd_decoherence, dqd_error_probs, load_params,
                        params_from_units, phase_poly, relaxation_rate,
                        spectral_function)
 
+import util
+
 GAMMA_DEFAULT = 1273433624.2483376        # 1/s, frozen high-precision value
 B2_DEFAULT_1E10 = 0.0087765807330008576   # dimensionless, frozen value
+B2_DEFAULT_LIMIT = 0.008776581953207073   # B^2(t -> inf), default device
 
 
 def test_params_positivity():
@@ -74,67 +76,53 @@ def test_spectral_function_frozen_value():
     assert abs(got - B2_DEFAULT_1E10) / B2_DEFAULT_1E10 < 1e-12
 
 
-def test_spectral_function_node_doubling_self_consistency():
-    p = default_params()
-    coarse = spectral_function(p, 1e-11)
-    fine = spectral_function(p, 1e-11, QuadratureConfig(outer_nodes=48))
-    assert abs(coarse - fine) / fine < 1e-4
-
-
 @pytest.mark.parametrize("t", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
 def test_spectral_function_against_analytic_angular_integral(t):
     # the angular integral has the closed form 1 - sin(2 q L)/(2 q L); what
-    # remains is a 1-d integral evaluated here on a fine panelized grid
+    # remains is a 1-d integral, evaluated by the quadrature oracle
     p = default_params()
-    a, ell, s = p.dot_radius, p.dot_separation, p.sound_speed
-    q_max = 8.0 / a
-    x, w = np.polynomial.legendre.leggauss(48)
-    edges = np.linspace(0.0, q_max, 1201)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    q = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
-    wq = (half[:, None] * w[None, :]).reshape(-1)
-    angular = 1.0 - np.sin(2.0 * q * ell) / (2.0 * q * ell)
-    integrand = (q * np.exp(-(a * q) ** 2 / 2.0)
-                 * np.sin(q * s * t / 2.0) ** 2 * angular)
-    pref = p.deformation_potential ** 2 / (np.pi ** 2 * p.hbar
-                                           * p.crystal_density * s ** 3)
-    want = pref * float((integrand * wq).sum())
-    got = spectral_function(p, t)
-    assert abs(got - want) / want < 1e-10
+    want = util.reference_b2(p, t)
+    assert abs(spectral_function(p, t) - want) / want < 1e-14
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(outer_nodes=8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(q_max_factor=2.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinements=0)
+@pytest.mark.parametrize("params", [default_params(),
+                                    params_from_units(L_nm=3.0)],
+                         ids=["default", "L3nm"])
+def test_spectral_function_matches_reference_quadrature(params):
+    # y = L/sqrt(beta) is 23.6 for the default device and 1.41 at L = 3 nm;
+    # above 1e-9 s the oracle's own phase round-off reaches ~1.5e-14
+    for t in np.geomspace(1e-16, 1e-8, 33):
+        want = util.reference_b2(params, t)
+        rel = abs(spectral_function(params, t) - want) / want
+        assert rel < (1e-14 if t <= 1e-9 else 5e-14), (t, rel)
 
 
-def test_convergence_error_surfaces():
-    # the first 16 -> 32 node doubling still moves the value by ~3e-13, so a
-    # tighter tolerance with a one-refinement budget cannot be met
-    cfg = QuadratureConfig(outer_nodes=16, rel_tol=1e-14, max_refinements=1)
-    with pytest.raises(ConvergenceError):
-        spectral_function(default_params(), 1e-10, cfg)
+def test_dawson_matches_reference_quadrature():
+    below = [np.nextafter(b, 0.0) for b in (0.2, 10.0)]
+    xs = np.concatenate([np.geomspace(1e-8, 1e4, 241), [0.2, 10.0], below])
+    for x in xs:
+        want = util.reference_dawson(x)
+        assert abs(dawson(x) - want) / want < 2e-15, x
+        assert dawson(-x) == -dawson(x)
+    assert dawson(0.0) == 0.0
+    assert dawson(math.inf) == 0.0
 
 
-def test_huge_t_is_rejected_before_allocating():
-    params = default_params()
-    # about 1e9 panels at 1e-3 s; at 1e300 s the panel count overflows to inf
-    for t in (1e-3, 1e300):
-        with pytest.raises(QuadratureSizeError, match="quadrature nodes"):
-            dqd_error_probs(params, t)
-    assert issubclass(QuadratureSizeError, ValueError)
-    # the default grid's largest t stays under the limit after every doubling
-    cfg = QuadratureConfig()
-    nodes = cfg.outer_nodes * 2 ** cfg.max_refinements
-    q_max = cfg.q_max_factor / params.dot_radius
-    assert dqd._b2_once(params, 1e-9, nodes, q_max) > 0.0
+def test_spectral_function_long_time_limit():
+    p = default_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # no numpy overflow warning
+        for t in (1e300, 1.7e308, np.float64(1.7e308)):
+            got = spectral_function(p, t)
+            assert abs(got - B2_DEFAULT_LIMIT) / B2_DEFAULT_LIMIT < 1e-14
+        # where delta = s t/(2 sqrt(beta)) is finite the formula gives the
+        # same limit
+        got = spectral_function(p, 1e-3)
+        assert abs(got - B2_DEFAULT_LIMIT) / B2_DEFAULT_LIMIT < 1e-14
+        p1, p2, clamped = dqd_error_probs(p, 1e300)
+    assert (p1, clamped) == (1.0, False)
+    want = -math.expm1(-B2_DEFAULT_LIMIT) / 2.0
+    assert abs(p2 - want) <= 1e-14 * want
 
 
 def test_error_probabilities():

@@ -9,8 +9,8 @@ from decoq.decoherence import measure_auto
 from decoq.noise import (CHANNEL_KINDS, amplitude_damping, bit_flip,
                          build_channel, calibrated_probability, chi_formula,
                          depolarizing, format_spec, from_calibrated_p,
-                         make_spec, native_from_calibrated, parse_spec,
-                         phase_damping, phase_flip, spec_channel)
+                         make_spec, native_from_calibrated, phase_damping,
+                         phase_flip)
 
 
 def test_chi_known_values():
@@ -60,6 +60,27 @@ def test_calibration_equals_the_bare_measure():
         assert abs(d0 - calibrated_probability(kind, nat)) < 1e-9
 
 
+def test_weak_damping_keeps_its_relative_precision():
+    # 1 - e^(-x) by subtraction keeps only ~1e-16/x of relative precision;
+    # both damping families form it with expm1, in their chi matrices and in
+    # their Kraus weights
+    rng = np.random.default_rng(20261018)
+    natives = np.concatenate([[1e-12, 1e-4], 10.0 ** rng.uniform(-12, -4, 30)])
+    for x in natives:
+        for kind in ("amplitude_damping", "phase_damping"):
+            want = calibrated_probability(kind, x)
+            got = measure_auto(chi_formula(kind, x))
+            assert abs(got - want) <= 1e-14 * want, (kind, x, got)
+        want = calibrated_probability("phase_damping", x)
+        got = measure_auto(kraus_to_chi(phase_damping(x)))
+        assert abs(got - want) <= 1e-14 * want, ("phase_damping", x, got)
+        # amplitude damping's K0 = diag(1, e^(-x/2)) holds 1 - e^(-x/2) only to
+        # 1e-16 absolute, so its Kraus route is checked on the decay weight
+        want = calibrated_probability("amplitude_damping", x)
+        decay = amplitude_damping(x).operators[1][0, 1]
+        assert abs(abs(decay) ** 2 - want) <= 1e-14 * want, x
+
+
 def test_inverse_calibration():
     assert abs(native_from_calibrated("amplitude_damping", 0.1)
                + math.log(0.9)) < 1e-15
@@ -103,14 +124,14 @@ def test_spec_round_trips():
     spec = make_spec("bit_flip", p=0.1)
     assert spec.native_param == 0.1
     assert spec.frame == "computational"
-    assert parse_spec(format_spec(spec)) == spec
+    assert format_spec(spec) == "kind=bit_flip,p=0.1"
 
     spec = make_spec("amplitude_damping", native=0.7)
     assert spec.frame == "plus_minus"
-    assert parse_spec(format_spec(spec)) == spec
+    assert format_spec(spec) == "kind=amplitude_damping,native=0.7"
     spec2 = make_spec("amplitude_damping", p=spec.calibrated_p)
     assert abs(spec2.native_param - 0.7) < 1e-12
-    ch = spec_channel(spec)
+    ch = build_channel(spec.kind, spec.native_param)
     assert abs(ch.operators[0][1, 1] - math.exp(-0.35)) < 1e-12
 
 
@@ -121,11 +142,3 @@ def test_spec_errors():
         make_spec("bit_flip", p=0.1, native=0.1)
     with pytest.raises(ValueError):
         make_spec("gauss", p=0.1)
-    with pytest.raises(ValueError):
-        parse_spec("kind=bit_flip")
-    with pytest.raises(ValueError):
-        parse_spec("p=0.1")
-    with pytest.raises(ValueError):
-        parse_spec("kind=bit_flip,p=0.1,native=0.2")
-    with pytest.raises(ValueError):
-        parse_spec("kind:bit_flip")

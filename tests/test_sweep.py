@@ -1,9 +1,8 @@
-"""Sweeps, exact polynomial fits, break-even, operation-count scaling."""
+"""Sweeps, exact polynomial fits, break-even."""
 import numpy as np
 import pytest
 
-from decoq.sweep import (CALIBRATED_CAP, PolyCoeffs, break_even, fit_poly,
-                         scale_for_n_ops, sweep)
+from decoq.sweep import CALIBRATED_CAP, PolyCoeffs, break_even, fit_poly, sweep
 
 
 def test_sweep_known_values():
@@ -111,18 +110,3 @@ def test_break_even_ignores_a_root_at_p_max():
     poly = PolyCoeffs((2.0, -1.0 / 0.499))
     be = break_even(poly, p_max=0.5)
     assert be.status == "found" and abs(be.p - 0.499) < 1e-10
-
-
-def test_scale_for_n_ops():
-    scaled, clamped = scale_for_n_ops(0.001, 68)
-    assert abs(scaled - 0.068) < 1e-15
-    assert not clamped
-    assert scale_for_n_ops(0.0, 1000) == (0.0, False)
-    assert scale_for_n_ops(0.01, 200, "phase_damping") == (0.5, True)
-    assert scale_for_n_ops(0.01, 100, "depolarizing") == (2.0 / 3.0, True)
-    with pytest.raises(ValueError):
-        scale_for_n_ops(0.1, 0)
-    with pytest.raises(ValueError):
-        scale_for_n_ops(-0.1, 2)
-    with pytest.raises(ValueError):
-        scale_for_n_ops(0.1, 2, "gauss")

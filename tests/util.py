@@ -10,9 +10,13 @@ These deliberately avoid the library's own measure implementations:
 * ``random_tp_chi`` draws random trace-preserving chi matrices by rejection
   sampling on positive semidefiniteness,
 * ``reference_choi`` simulates a code's corrected Choi state with dense
-  operators only, independently of ``decoq.sim``'s contractions.
+  operators only, independently of ``decoq.sim``'s contractions,
+* ``reference_b2`` and ``reference_dawson`` evaluate the dephasing integral
+  B^2(t) and Dawson's integral by panelized Gauss-Legendre quadrature,
+  independently of ``decoq.dqd``'s closed form.
 """
 import functools
+import math
 
 import numpy as np
 
@@ -164,3 +168,46 @@ def reference_choi(code, per_wire):
             tau[:, r, :, rp] = np.trace(block.reshape(2, dim // 2, 2, dim // 2),
                                         axis1=1, axis2=3)
     return tau.reshape(4, 4)
+
+
+def _panel_rule(lo, hi, panels, nodes):
+    """Nodes and weights of a Gauss-Legendre rule on equal panels of [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return ((mid[:, None] + half[:, None] * x[None, :]).reshape(-1),
+            (half[:, None] * w[None, :]).reshape(-1))
+
+
+def reference_b2(params, t, nodes=64):
+    """B^2(t) as the 1-d q integral, by panelized Gauss-Legendre quadrature.
+
+    The integrand carries exp(-(a q)^2/2), so the cut at q_max = 12/a drops a
+    tail below 1e-30; each panel spans at most 4 periods of the combined
+    phase q (2L + s t).  The angular integral is in closed form,
+    int_0^pi sin^2(q L cos theta) sin theta dtheta = 1 - sin(2qL)/(2qL).
+    """
+    a, ell, s = params.dot_radius, params.dot_separation, params.sound_speed
+    q_max = 12.0 / a
+    cycles = q_max * (2.0 * ell + s * t) / (2.0 * np.pi)
+    q, wq = _panel_rule(0.0, q_max, max(8, math.ceil(cycles / 4.0)), nodes)
+    two_ql = 2.0 * q * ell                  # Gauss nodes are interior: q > 0
+    angular = 1.0 - np.sin(two_ql) / two_ql
+    radial = q * np.exp(-(a * q) ** 2 / 2.0) * np.sin(q * s * t / 2.0) ** 2
+    pref = params.deformation_potential ** 2 / (
+        np.pi ** 2 * params.hbar * params.crystal_density * s ** 3)
+    return pref * math.fsum(radial * angular * wq)
+
+
+def reference_dawson(x, panels=32, nodes=32):
+    """Dawson's integral F(x) = int_0^x exp((tau - x)(tau + x)) dtau.
+
+    With v = x - tau the integrand is exp(-v (2x - v)), which falls below
+    exp(-40) of its peak beyond v = 40/x; the rule covers v in
+    [0, min(x, 40/x)] (x > 0; F is odd).
+    """
+    if x < 0.0:
+        return -reference_dawson(-x, panels, nodes)
+    v, wv = _panel_rule(0.0, min(x, 40.0 / x), panels, nodes)
+    return math.fsum(np.exp(-v * (2.0 * x - v)) * wv)
