@@ -12,8 +12,8 @@ dqd      -- CSV of the double-quantum-dot curves over a logarithmic time grid.
 CSV files use 12-significant-digit scientific notation, a header row, and LF
 line endings; identical configurations produce byte-identical files.  Exit
 codes: 0 success, 2 configuration error, 3 range/validation error (including
-nan or infinite values of any float flag).  ``dqd`` evaluates B^2(t) in closed
-form, so any finite --tmax is accepted.
+nan or infinite values of any float flag, and a --steps above MAX_STEPS).
+``dqd`` evaluates B^2(t) in closed form, so any finite --tmax is accepted.
 """
 from __future__ import annotations
 
@@ -35,6 +35,10 @@ from .sweep import (CALIBRATED_CAP, ThreadCapError, break_even, fit_poly,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RANGE = 3
+
+# largest --steps of ``sweep`` and ``dqd``: refused before the grid is
+# allocated, since a 1e9-point grid alone needs gigabytes
+MAX_STEPS = 10 ** 6
 
 
 def _fmt(x: float) -> str:
@@ -95,9 +99,15 @@ def cmd_channel(args) -> int:
 
 # ------------------------------------------------------------------ sweep --
 
-def _p_grid(args) -> np.ndarray:
-    if args.steps < 1:
+def _check_steps(steps: int) -> None:
+    if steps < 1:
         raise ValueError("--steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise ValueError(f"--steps must be <= {MAX_STEPS}, got {steps}")
+
+
+def _p_grid(args) -> np.ndarray:
+    _check_steps(args.steps)
     if args.pmin > args.pmax:
         raise ValueError("--pmin must not exceed --pmax")
     for flag, p in (("--pmax", args.pmax), ("--pmin", args.pmin)):
@@ -180,8 +190,7 @@ def cmd_dqd(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: bad params file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.steps < 1:
-        raise ValueError("--steps must be >= 1")
+    _check_steps(args.steps)
     if not 0.0 < args.tmin <= args.tmax:
         raise ValueError("need 0 < --tmin <= --tmax")
     ts = np.geomspace(args.tmin, args.tmax, args.steps)

@@ -2,8 +2,10 @@
 
 All circuits are code-local: wire 0 is the data qubit, wires 1..n-1 are
 ancillas prepared in |0>.  The simulator shifts them up by one to make room
-for its reference wire; ``QecCode.decode_block`` is the decoder followed by
-the recovery as one unitary, built once per code on those shifted wires.
+for its reference wire.  ``QecCode.encode_gates`` (the encoder) and
+``QecCode.decode_gates`` (the decoder followed by the recovery) are those
+shifted circuits compiled once per code by ``sim.fuse_gates``: runs of
+X/CNOT/Toffoli gates become one index gather, other runs one dense block.
 
 Four codes are provided:
 
@@ -26,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sim import (Circuit, Gate, apply_gate, block_unitary, circuit_unitary,
-                  cnot, cz, hadamard, pauli_gate, toffoli)
+from .sim import (Circuit, Gate, apply_gate, block_unitary, cnot, cz,
+                  fuse_gates, hadamard, pauli_gate, shift_gates, toffoli)
 
 RECOVERY_ORTHO_ATOL = 1e-10
 
@@ -50,11 +52,14 @@ class QecCode:
             raise ValueError("encoder/decoder wire count must equal n")
 
     @cached_property
-    def decode_block(self) -> Gate:
-        """Decoder then recovery as one unitary on the simulator's wires 1..n."""
-        dec = Circuit(self.n, self.decoder.gates + self.recovery)
-        return block_unitary("decode", range(1, self.n + 1),
-                             circuit_unitary(dec))
+    def encode_gates(self) -> tuple:
+        """The encoder, fused, on the simulator's wires 1..n."""
+        return fuse_gates(shift_gates(self.encoder.gates, 1))
+
+    @cached_property
+    def decode_gates(self) -> tuple:
+        """Decoder then recovery, fused, on the simulator's wires 1..n."""
+        return fuse_gates(shift_gates(self.decoder.gates + self.recovery, 1))
 
 
 def build_recovery(encoder: Circuit, corrects) -> Gate:

@@ -2,17 +2,22 @@
 
 States are 2^m state vectors or 2^m x 2^m density matrices with tensor-factor
 order equal to wire order (wire 0 is the most significant bit of the basis
-index).  Gates act on one, two, three, or a block of wires and are applied by
-tensor contraction on a (2,)*m or (2,)*2m view of the state.
+index).  Gates act on one, two, three, or a block of wires.  A gate whose
+matrix is a permutation (X, CNOT, Toffoli, or a fused run of them) is
+applied as an exact index gather; every other gate by tensor contraction on
+a (2,)*m or (2,)*2m view of the state.  ``fuse_gates`` compiles a gate list
+into maximal permutation runs (composed by index arrays) and maximal runs of
+other gates (one dense block each).
 
 The main entry point is simulate_choi, in three stages:
 
-* encode -- run the encoder on the pure state vector of a maximally entangled
-  pair (reference wire, code data wire), then form its density matrix once;
+* encode -- run the code's fused encoder (QecCode.encode_gates) on the pure
+  state vector of a maximally entangled pair (reference wire, code data
+  wire), then form its density matrix once;
 * noise  -- apply a single-qubit channel to every code wire, each as one 4x4
   superoperator contraction on the wire's (row, column) axes;
-* decode -- apply decoder and recovery as one unitary block, built once per
-  code object (QecCode.decode_block), and trace out all but (data, reference).
+* decode -- apply the fused decoder and recovery (QecCode.decode_gates),
+  both built once per code object, and trace out all but (data, reference).
 
 The result is the Choi state of the error-corrected logical channel, with the
 noisy (data) factor first.  The superoperator and Choi contractions follow
@@ -20,7 +25,8 @@ Wood, Biamonte & Cory, arXiv:1111.6950.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,10 +42,15 @@ _PAULIS_1Q = dict(zip(PAULI_LABELS, PAULI_BASIS))
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A unitary acting on an ordered tuple of wires."""
+    """A unitary acting on an ordered tuple of wires.
+
+    ``src`` is set when the matrix is a permutation (0/1 entries, one 1 in
+    each row and column): ``matrix[i, src[i]] == 1``.
+    """
     name: str
     wires: tuple
     matrix: np.ndarray
+    src: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         wires = tuple(int(w) for w in self.wires)
@@ -51,7 +62,13 @@ class Gate:
         if mat.shape != (dim, dim):
             raise ValueError(f"gate {self.name}: matrix shape {mat.shape} "
                              f"does not match {len(wires)} wires")
-        if np.abs(mat.conj().T @ mat - np.eye(dim)).max() > UNITARY_ATOL:
+        ones = mat == 1
+        if ((ones | (mat == 0)).all() and (ones.sum(axis=0) == 1).all()
+                and (ones.sum(axis=1) == 1).all()):
+            src = ones.argmax(axis=1)       # a permutation is exactly unitary
+            src.setflags(write=False)
+            object.__setattr__(self, "src", src)
+        elif np.abs(mat.conj().T @ mat - np.eye(dim)).max() > UNITARY_ATOL:
             raise ValueError(f"gate {self.name}: matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -127,11 +144,25 @@ def _contract(tens: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(tens, range(k), axes)
 
 
+def _register_src(src: np.ndarray, wires, m: int) -> np.ndarray:
+    """The permutation ``src`` on ``wires`` as a source index over all 2^m
+    basis states of an m-wire register: U|j> has amplitude psi[idx[j]]."""
+    k = len(wires)
+    idx = np.moveaxis(np.arange(2 ** m).reshape((2,) * m), wires, range(k))
+    idx = idx.reshape(2 ** k, -1)[src].reshape((2,) * m)
+    return np.moveaxis(idx, range(k), wires).reshape(-1)
+
+
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply the gate to a state vector (psi -> U psi) or conjugate a density
-    matrix by it (rho -> U rho U^dag)."""
+    matrix by it (rho -> U rho U^dag).  A permutation gate is an index
+    gather, bit for bit what the contraction gives (every product is with
+    0 or 1)."""
     m = _wire_count_of(state, state.ndim)
     _check_wires(gate.wires, m)
+    if gate.src is not None:
+        idx = _register_src(gate.src, gate.wires, m)
+        return state[idx] if state.ndim == 1 else state[np.ix_(idx, idx)]
     tens = _contract(state.reshape((2,) * (state.ndim * m)), gate.matrix,
                      gate.wires)
     if state.ndim == 2:
@@ -194,6 +225,30 @@ def shift_gates(gates, offset: int):
                  for g in gates)
 
 
+def fuse_gates(gates) -> tuple:
+    """The same circuit in fewer gates: each maximal run of permutation
+    gates becomes one permutation gate, its source index composed by index
+    arrays, and each maximal run of other gates one dense block
+    (``circuit_unitary``).  A fused gate acts on the sorted union of its
+    run's wires."""
+    fused = []
+    runs = itertools.groupby(gates, key=lambda g: g.src is not None)
+    for is_perm, run in runs:
+        run = tuple(run)
+        wires = tuple(sorted({w for g in run for w in g.wires}))
+        local = tuple(Gate(g.name, tuple(wires.index(w) for w in g.wires),
+                           g.matrix) for g in run)
+        if is_perm:
+            src = np.arange(2 ** len(wires))
+            for g in local:
+                src = src[_register_src(g.src, g.wires, len(wires))]
+            matrix = np.eye(len(src))[src]
+        else:
+            matrix = circuit_unitary(Circuit(len(wires), local))
+        fused.append(Gate("+".join(g.name for g in run), wires, matrix))
+    return tuple(fused)
+
+
 def simulate_choi(code, noise) -> np.ndarray:
     """Choi state of the error-corrected channel built from ``code`` + noise.
 
@@ -219,7 +274,7 @@ def simulate_choi(code, noise) -> np.ndarray:
     psi = np.zeros(2 ** m, dtype=complex)
     psi[0] = 1.0 / np.sqrt(2.0)
     psi[(1 << (m - 1)) + (1 << (m - 2))] = 1.0 / np.sqrt(2.0)
-    for gate in shift_gates(code.encoder.gates, 1):
+    for gate in code.encode_gates:
         psi = apply_gate(psi, gate)
     rho = np.outer(psi, psi.conj())
 
@@ -227,7 +282,8 @@ def simulate_choi(code, noise) -> np.ndarray:
         if ch is not None:
             rho = apply_channel_wire(rho, ch, 1 + w)
 
-    rho = apply_gate(rho, code.decode_block)
+    for gate in code.decode_gates:
+        rho = apply_gate(rho, gate)
     return partial_trace(rho, keep=(1, 0))
 
 

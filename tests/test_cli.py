@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from decoq.cli import build_parser, main
+from decoq.cli import MAX_STEPS, build_parser, main
 from decoq.sweep import CALIBRATED_CAP
 
 
@@ -162,6 +162,18 @@ def test_dqd_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["dqd", flag, value, "--steps", "2"]) == 3
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_steps_above_the_cap_are_range_errors(capsys):
+    steps = str(MAX_STEPS + 1)
+    for argv in (["sweep", "--code", "bit3", "--channel", "bit_flip"],
+                 ["dqd"]):
+        capsys.readouterr()
+        assert main(argv + ["--steps", steps]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --steps must be <= {MAX_STEPS}, "
+                                f"got {steps}\n")
 
 
 def test_dqd_huge_tmax_reaches_the_long_time_limit(capsys):

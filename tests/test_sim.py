@@ -12,8 +12,8 @@ from decoq.noise import (CHANNEL_KINDS, bit_flip, build_channel, depolarizing,
                          from_calibrated_p, phase_flip)
 from decoq.sim import (Circuit, Gate, apply_channel_wire, apply_gate,
                        bell_choi_reference, block_unitary, circuit_unitary,
-                       cnot, cz, hadamard, partial_trace, pauli_gate,
-                       shift_gates, simulate_choi, toffoli)
+                       cnot, cz, fuse_gates, hadamard, partial_trace,
+                       pauli_gate, shift_gates, simulate_choi, toffoli)
 
 from util import embed_operator, kraus_sum_on_wire, reference_choi
 
@@ -66,6 +66,9 @@ def test_controlled_gates():
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("bad", (0,), np.array([[1, 1], [0, 1]], dtype=complex))
+    # 0/1 entries but not a permutation: still checked for unitarity
+    with pytest.raises(ValueError, match="not unitary"):
+        Gate("bad", (0,), np.array([[1, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         Gate("bad", (0, 0), np.eye(4))
     with pytest.raises(ValueError):
@@ -172,14 +175,56 @@ def test_circuit_unitary_applies_gates_in_order():
     assert np.abs(circuit_unitary(circ) - want).max() < 1e-15
 
 
-def test_decode_block_is_built_once_on_the_simulator_wires():
+def test_permutation_gates_are_gathers_equal_to_the_contraction():
+    rng = np.random.default_rng(21)
+    block = block_unitary("P", (3, 0, 2), np.eye(8)[rng.permutation(8)])
+    gates = (pauli_gate("X", 2), cnot(0, 3), cnot(3, 0), toffoli(0, 1, 2),
+             toffoli(2, 3, 1), toffoli(3, 1, 0), block)
+    assert pauli_gate("Z", 0).src is None and hadamard(0).src is None
+    for gate in gates:
+        assert gate.src is not None
+        full = embed_operator(gate.matrix, gate.wires, 4)
+        for _ in range(3):
+            psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+            assert np.abs(apply_gate(psi, gate) - full @ psi).max() == 0.0
+            rho = random_density(16, rng)
+            want = full @ rho @ full.conj().T
+            assert np.abs(apply_gate(rho, gate) - want).max() == 0.0
+
+
+def test_fuse_gates_keeps_the_circuit():
+    rng = np.random.default_rng(22)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    gates = (cnot(0, 2), toffoli(2, 0, 3), pauli_gate("X", 1), hadamard(3),
+             block_unitary("U", (1, 0), q), cz(3, 2), cnot(3, 1))
+    fused = fuse_gates(gates)
+    assert [g.wires for g in fused] == [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3)]
+    assert [g.src is not None for g in fused] == [True, False, True]
+    want = circuit_unitary(Circuit(4, gates))
+    assert np.abs(circuit_unitary(Circuit(4, fused)) - want).max() < 1e-15
+    assert fuse_gates(()) == ()
+
+
+def test_fused_circuits_are_built_once_on_the_simulator_wires():
     for name in CODE_NAMES:
         code = code_by_name(name)
-        block = code.decode_block
-        assert block is code.decode_block
-        assert block.wires == tuple(range(1, code.n + 1))
-        dec = Circuit(code.n, code.decoder.gates + code.recovery)
-        assert np.abs(block.matrix - circuit_unitary(dec)).max() == 0.0
+        m = code.n + 1
+        assert code.encode_gates is code.encode_gates
+        assert code.decode_gates is code.decode_gates
+        for fused, gates in ((code.encode_gates, code.encoder.gates),
+                             (code.decode_gates,
+                              code.decoder.gates + code.recovery)):
+            for g in fused:
+                assert set(g.wires) <= set(range(1, m))
+            want = circuit_unitary(Circuit(m, shift_gates(gates, 1)))
+            got = circuit_unitary(Circuit(m, fused))
+            exact = all(g.src is not None for g in fused)
+            assert np.abs(got - want).max() <= (0.0 if exact else 1e-15)
+    shor9 = code_by_name("shor9")
+    assert [(g.src is not None, g.wires) for g in shor9.decode_gates] == [
+        (True, tuple(range(1, 10))), (False, (1, 4, 7)), (True, (1, 4, 7))]
+    assert len(code_by_name("shor5").encode_gates) == 9
+    assert len(code_by_name("bit3").decode_gates) == 1
 
 
 def test_circuit_unitary_and_shift():
