@@ -17,6 +17,7 @@ and divided by the qubit dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """S = sum_k K_k (x) K_k^*, acting on row-major supervectors:
+        vec(sum_k K_k rho K_k^dag) = S vec(rho).  Built once, read-only."""
+        superop = sum(np.kron(op, op.conj()) for op in self.operators)
+        superop.setflags(write=False)
+        return superop
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,11 @@ def chi_to_kraus(chi: np.ndarray, atol: float = 1e-12) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
+# the Pauli supervectors vec(E_a), one per row
+_PAULI_VECS = np.array([vectorize(e) for e in PAULI_BASIS])
+_PAULI_VECS.setflags(write=False)
+
+
 def chi_to_choi(chi: np.ndarray) -> np.ndarray:
     """Choi state of a qubit channel: push chi into the supervector basis, /2.
 
@@ -174,8 +188,7 @@ def chi_to_choi(chi: np.ndarray) -> np.ndarray:
     chi = np.asarray(chi)
     if chi.shape != (4, 4):
         raise ValueError("chi matrix must be 4x4")
-    vecs = np.array([vectorize(e) for e in PAULI_BASIS])  # rows
-    return (vecs.T @ chi @ vecs.conj()) / 2.0
+    return (_PAULI_VECS.T @ chi @ _PAULI_VECS.conj()) / 2.0
 
 
 def choi_to_chi(tau: np.ndarray) -> np.ndarray:
@@ -183,9 +196,8 @@ def choi_to_chi(tau: np.ndarray) -> np.ndarray:
     tau = np.asarray(tau, dtype=complex)
     if tau.shape != (4, 4):
         raise ValueError("Choi state must be 4x4 for a qubit channel")
-    vecs = np.array([vectorize(e) for e in PAULI_BASIS])
     # Pauli supervectors have norm^2 = 2, so <<E_a| (2 tau) |E_b>> / 4 = chi_ab
-    return (vecs.conj() @ (2.0 * tau) @ vecs.T) / 4.0
+    return (_PAULI_VECS.conj() @ (2.0 * tau) @ _PAULI_VECS.T) / 4.0
 
 
 def kraus_to_choi(channel: KrausChannel) -> np.ndarray:

@@ -24,7 +24,7 @@ a recovery built by enumeration maps the error-k image of logical |b> to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -186,7 +186,10 @@ _CODES = {
 CODE_NAMES = tuple(_CODES)
 
 
+@cache
 def code_by_name(name: str) -> QecCode:
+    """The code of that name; one object per name per process (codes are
+    frozen, and each compiles its fused circuits once)."""
     try:
         return _CODES[name]()
     except KeyError:

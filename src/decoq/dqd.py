@@ -40,8 +40,8 @@ class DqdParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 def params_from_units(xi_eV: float = 3.3, s_m_per_s: float = 9.0e3,
@@ -213,6 +213,10 @@ def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1):
         raise ValueError("t must be >= 0")
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
+    try:
+        float(n_ops)
+    except OverflowError:
+        raise ValueError("n_ops is too large to convert to a float") from None
     p1 = -math.expm1(-relaxation_rate(params) * t)
     p2 = -math.expm1(-spectral_function(params, t)) / 2.0
     p1, p2 = n_ops * p1, n_ops * p2

@@ -4,18 +4,21 @@ States are 2^m state vectors or 2^m x 2^m density matrices with tensor-factor
 order equal to wire order (wire 0 is the most significant bit of the basis
 index).  Gates act on one, two, three, or a block of wires.  A gate whose
 matrix is a permutation (X, CNOT, Toffoli, or a fused run of them) is
-applied as an exact index gather; every other gate by tensor contraction on
-a (2,)*m or (2,)*2m view of the state.  ``fuse_gates`` compiles a gate list
-into maximal permutation runs (composed by index arrays) and maximal runs of
-other gates (one dense block each).
+applied as an exact index gather over the whole register; the gate caches
+that index once per register size.  Every other gate, and every channel's
+superoperator, is applied by one ``np.dot`` against the state's (2,)*m or
+(2,)*2m view with the acted-on axes moved to the front.  ``fuse_gates``
+compiles a gate list into maximal permutation runs (composed by index
+arrays) and maximal runs of other gates (one dense block each).
 
 The main entry point is simulate_choi, in three stages:
 
 * encode -- run the code's fused encoder (QecCode.encode_gates) on the pure
   state vector of a maximally entangled pair (reference wire, code data
   wire), then form its density matrix once;
-* noise  -- apply a single-qubit channel to every code wire, each as one 4x4
-  superoperator contraction on the wire's (row, column) axes;
+* noise  -- apply a single-qubit channel to every code wire, each as one
+  contraction of its 4x4 superoperator (KrausChannel.superop, built once per
+  channel) on the wire's (row, column) axes;
 * decode -- apply the fused decoder and recovery (QecCode.decode_gates),
   both built once per code object, and trace out all but (data, reference).
 
@@ -51,6 +54,7 @@ class Gate:
     wires: tuple
     matrix: np.ndarray
     src: np.ndarray | None = field(default=None, init=False, repr=False)
+    _gathers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         wires = tuple(int(w) for w in self.wires)
@@ -72,6 +76,17 @@ class Gate:
             raise ValueError(f"gate {self.name}: matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def gather_index(self, m: int) -> np.ndarray:
+        """A permutation gate's source index over an m-wire register
+        (``_register_src``), built once per register size, read-only.
+        Threads that race to build it all return the one stored first."""
+        idx = self._gathers.get(m)
+        if idx is None:
+            idx = _register_src(self.src, self.wires, m)
+            idx.setflags(write=False)
+            idx = self._gathers.setdefault(m, idx)
+        return idx
 
 
 def hadamard(wire: int) -> Gate:
@@ -137,11 +152,20 @@ def _wire_count_of(state: np.ndarray, ndim: int = 2) -> int:
 
 
 def _contract(tens: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
-    """Apply ``op`` to the given axes of a tensor with (2,)-sized axes."""
-    k = len(axes)
-    u = op.reshape((2,) * (2 * k))
-    tens = np.tensordot(u, tens, axes=(tuple(range(k, 2 * k)), tuple(axes)))
-    return np.moveaxis(tens, range(k), axes)
+    """Apply ``op`` to the given axes of a tensor with (2,)-sized axes.
+
+    The product is the one ``np.tensordot(op, tens)`` forms, the same
+    ``np.dot`` on the same operands, without its argument handling: the
+    acted-on axes go first, the rest keep their order, and the inverse
+    transpose puts the result's axes back in place.
+    """
+    order = list(axes)
+    order += [a for a in range(tens.ndim) if a not in order]
+    inverse = [0] * tens.ndim
+    for i, a in enumerate(order):
+        inverse[a] = i
+    out = np.dot(op, tens.transpose(order).reshape(op.shape[1], -1))
+    return out.reshape(tens.shape).transpose(inverse)
 
 
 def _register_src(src: np.ndarray, wires, m: int) -> np.ndarray:
@@ -161,7 +185,7 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     m = _wire_count_of(state, state.ndim)
     _check_wires(gate.wires, m)
     if gate.src is not None:
-        idx = _register_src(gate.src, gate.wires, m)
+        idx = gate.gather_index(m)
         return state[idx] if state.ndim == 1 else state[np.ix_(idx, idx)]
     tens = _contract(state.reshape((2,) * (state.ndim * m)), gate.matrix,
                      gate.wires)
@@ -174,15 +198,16 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
 def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wire: int) -> np.ndarray:
     """Apply a single-qubit Kraus channel to one wire of the register.
 
-    The Kraus sum is folded into the superoperator S = sum_k K (x) K^*,
-    which acts on the wire's row and column axes in one contraction.
+    The Kraus sum is folded into the superoperator S = sum_k K (x) K^*
+    (``channel.superop``), which acts on the wire's row and column axes in
+    one contraction.
     """
     if channel.dim != 2:
         raise ValueError("per-wire noise must be a single-qubit channel")
     m = _wire_count_of(rho)
     _check_wires((wire,), m)
-    superop = sum(np.kron(op, op.conj()) for op in channel.operators)
-    tens = _contract(rho.reshape((2,) * (2 * m)), superop, (wire, m + wire))
+    tens = _contract(rho.reshape((2,) * (2 * m)), channel.superop,
+                     (wire, m + wire))
     return tens.reshape(rho.shape)
 
 

@@ -61,6 +61,13 @@ class SweepResult:
     fitted: PolyCoeffs | None = None
 
 
+# registers (code.n + 1 wires) of at least this many wires measure their
+# points on a thread pool; smaller ones in the calling thread, because their
+# per-point work is mostly Python holding the interpreter lock, while the
+# large contractions of bigger registers run in numpy with it released
+POOL_MIN_WIRES = 8
+
+
 def _measure_point(code, kind: str, p: float) -> float:
     channel = from_calibrated_p(kind, p)
     tau = simulate_choi(code, channel)
@@ -83,7 +90,9 @@ def _worker_count(n_jobs: int) -> int:
 
 def sweep(code_name: str, channel_kind: str, p_values,
           code=None) -> SweepResult:
-    """Measure corrected D at each p; points run in parallel, collected in order."""
+    """Measure corrected D at each p, collected in order; the points run on
+    a thread pool only for registers of POOL_MIN_WIRES or more wires and a
+    worker cap above 1."""
     p_values = [float(p) for p in p_values]
     if code is None:
         code = code_by_name(code_name)
@@ -94,9 +103,13 @@ def sweep(code_name: str, channel_kind: str, p_values,
             native_from_calibrated(channel_kind, p)
         except ValueError as exc:
             raise ValueError(f"{channel_kind}: {exc}, got {p!r}") from None
-    with ThreadPoolExecutor(max_workers=_worker_count(len(p_values))) as pool:
-        ds = list(pool.map(lambda p: _measure_point(code, channel_kind, p),
-                           p_values))
+    workers = _worker_count(len(p_values))
+    if workers == 1 or code.n + 1 < POOL_MIN_WIRES:
+        ds = [_measure_point(code, channel_kind, p) for p in p_values]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            ds = list(pool.map(lambda p: _measure_point(code, channel_kind, p),
+                               p_values))
     samples = tuple(sorted(zip(p_values, ds)))
     return SweepResult(code_name, channel_kind, samples)
 

@@ -146,3 +146,16 @@ def test_kraus_completeness_enforced():
 def test_chi_to_kraus_rejects_non_psd():
     with pytest.raises(ValueError):
         chi_to_kraus(chi_formula("bit_flip", 1.1))
+
+
+def test_superop_is_the_kraus_sum_built_once():
+    ch = random_kraus_channel(np.random.default_rng(33))
+    superop = ch.superop
+    assert np.array_equal(superop, sum(np.kron(op, op.conj())
+                                       for op in ch.operators))
+    assert ch.superop is superop
+    with pytest.raises(ValueError, match="read-only"):
+        superop[0, 0] = 0.0
+    rho = random_density(2, np.random.default_rng(34))
+    assert np.abs(devectorize(superop @ vectorize(rho))
+                  - apply_channel(ch, rho)).max() < 1e-15

@@ -164,6 +164,28 @@ def test_dqd_exit_codes(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_dqd_n_ops_beyond_a_float_is_a_range_error(capsys):
+    assert main(["dqd", "--steps", "1", "--n-ops", "1" + "0" * 400]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_ops is too large to convert to a float\n"
+
+
+def test_dqd_non_finite_params_are_bad_params_files(tmp_path, capsys):
+    fields = {"xi_eV": "deformation_potential", "s_m_per_s": "sound_speed",
+              "rho_g_per_cm3": "crystal_density", "L_nm": "dot_separation",
+              "a_nm": "dot_radius", "k_per_m": "phonon_wavevector"}
+    path = tmp_path / "params.json"
+    for key, field in fields.items():
+        for value in ("Infinity", "NaN", "1e400"):
+            path.write_text(f'{{"{key}": {value}}}')
+            capsys.readouterr()
+            assert main(["dqd", "--params", str(path), "--steps", "1"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: bad params file: {field} must be finite and "
+                "strictly positive\n")
+
+
 def test_steps_above_the_cap_are_range_errors(capsys):
     steps = str(MAX_STEPS + 1)
     for argv in (["sweep", "--code", "bit3", "--channel", "bit_flip"],

@@ -94,3 +94,11 @@ def test_code_by_name():
     assert set(CODE_NAMES) == {"bit3", "phase3", "shor5", "shor9", "none"}
     with pytest.raises(ValueError):
         code_by_name("steane")
+
+
+def test_code_by_name_returns_one_object_per_name():
+    for name in CODE_NAMES:
+        assert code_by_name(name) is code_by_name(name)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown code 'steane'"):
+            code_by_name("steane")

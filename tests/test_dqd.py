@@ -27,6 +27,15 @@ def test_params_positivity():
         params_from_units(L_nm=-1.0)
 
 
+def test_params_must_be_finite():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="deformation_potential must be "
+                                             "finite and strictly positive"):
+            DqdParams(bad, 9e3, 2330.0, 5e-8, 3e-9, 1e8)
+        with pytest.raises(ValueError, match="dot_separation must be finite"):
+            params_from_units(L_nm=bad)
+
+
 def test_params_unit_conversions():
     p = default_params()
     assert abs(p.deformation_potential / EV - 3.3) < 1e-12
@@ -152,6 +161,14 @@ def test_error_probability_clamps():
         dqd_error_probs(p, 1e-10, n_ops=0)
     with pytest.raises(ValueError):
         dqd_error_probs(p, -1.0)
+
+
+def test_n_ops_beyond_a_float_is_refused():
+    # refused, instead of an OverflowError from n_ops * p1
+    p = default_params()
+    with pytest.raises(ValueError, match="n_ops is too large"):
+        dqd_error_probs(p, 1e-10, n_ops=10 ** 400)
+    assert dqd_error_probs(p, 1e-10, n_ops=10 ** 308)[2]
 
 
 def test_polynomials_and_decoherence():

@@ -15,7 +15,8 @@ from decoq.sim import (Circuit, Gate, apply_channel_wire, apply_gate,
                        cnot, cz, fuse_gates, hadamard, partial_trace,
                        pauli_gate, shift_gates, simulate_choi, toffoli)
 
-from util import embed_operator, kraus_sum_on_wire, reference_choi
+from util import (embed_operator, kraus_sum_on_wire, reference_choi,
+                  tensordot_apply_channel_wire, tensordot_apply_gate)
 
 
 def _ket(bits):
@@ -165,6 +166,47 @@ def test_superoperator_matches_kraus_sum_for_a_non_unital_channel():
         assert np.abs(out - want).max() < 1e-14
         assert np.abs(out - kraus_sum_on_wire(rho, ch.operators, wire)
                       ).max() < 1e-14
+
+
+def test_contractions_equal_the_tensordot_oracle():
+    rng = np.random.default_rng(31)
+
+    def unitary(k):
+        g = rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
+        return np.linalg.qr(g)[0]
+
+    gates = (hadamard(2), block_unitary("U", (3,), unitary(1)), cz(3, 1),
+             block_unitary("U", (2, 0), unitary(2)),
+             block_unitary("U", (3, 0, 2), unitary(3)),
+             block_unitary("U", (1, 3, 0, 2), unitary(4)),
+             toffoli(2, 0, 1))
+    for gate in gates:
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        for state in (psi, random_density(16, rng)):
+            assert np.array_equal(apply_gate(state, gate),
+                                  tensordot_apply_gate(state, gate))
+    ch = random_kraus_channel(rng)
+    assert np.abs(sum(op @ op.conj().T for op in ch.operators)
+                  - np.eye(2)).max() > 0.1                    # non-unital
+    rho = random_density(16, rng)
+    for wire in range(4):
+        assert np.array_equal(apply_channel_wire(rho, ch, wire),
+                              tensordot_apply_channel_wire(rho, ch.operators,
+                                                           wire))
+
+
+def test_gather_index_is_cached_per_register_size():
+    rng = np.random.default_rng(32)
+    gate = toffoli(2, 0, 1)
+    for m in (3, 5, 3):
+        idx = gate.gather_index(m)
+        assert idx is gate.gather_index(m) and len(idx) == 2 ** m
+        assert not idx.flags.writeable
+        full = embed_operator(gate.matrix, gate.wires, m)
+        psi = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+        assert np.array_equal(apply_gate(psi, gate), full @ psi)
+        rho = random_density(2 ** m, rng)
+        assert np.array_equal(apply_gate(rho, gate), full @ rho @ full.T)
 
 
 def test_circuit_unitary_applies_gates_in_order():

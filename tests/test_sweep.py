@@ -1,8 +1,13 @@
 """Sweeps, exact polynomial fits, break-even."""
+import importlib
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from decoq.sweep import CALIBRATED_CAP, PolyCoeffs, break_even, fit_poly, sweep
+from decoq.sweep import (CALIBRATED_CAP, POOL_MIN_WIRES, PolyCoeffs,
+                         break_even, fit_poly, sweep)
 
 
 def test_sweep_known_values():
@@ -39,10 +44,43 @@ def test_sweep_range_and_name_checks():
         sweep("steane", "bit_flip", (0.1,))
 
 
+def _record_threads(monkeypatch):
+    """The thread of every simulate_choi call a sweep makes."""
+    threads = []
+    module = importlib.import_module("decoq.sweep")   # not the function
+    simulate = module.simulate_choi
+
+    def recording(code, noise):
+        threads.append(threading.get_ident())
+        return simulate(code, noise)
+
+    monkeypatch.setattr(module, "simulate_choi", recording)
+    return threads
+
+
+def test_small_registers_sweep_in_the_calling_thread(monkeypatch):
+    threads = _record_threads(monkeypatch)
+    monkeypatch.setenv("DECOM_THREADS", "4")
+    res = sweep("shor5", "depolarizing", (0.1, 0.2, 0.3))
+    assert 5 + 1 < POOL_MIN_WIRES
+    assert threads == [threading.get_ident()] * 3
+    assert len(res.samples) == 3
+
+
 def test_thread_cap_env(monkeypatch):
+    # shor9's 10-wire register is measured on the pool unless the cap is 1
+    assert 9 + 1 >= POOL_MIN_WIRES
+    threads = _record_threads(monkeypatch)
+    grid = (1e-3, 2e-3)
+    monkeypatch.delenv("DECOM_THREADS", raising=False)
+    pooled = sweep("shor9", "depolarizing", grid)
+    if (os.cpu_count() or 1) > 1:
+        assert threading.get_ident() not in threads
+    threads.clear()
     monkeypatch.setenv("DECOM_THREADS", "1")
-    res = sweep("bit3", "bit_flip", (0.1, 0.2))
-    assert abs(res.samples[0][1] - 0.028) < 1e-12
+    single = sweep("shor9", "depolarizing", grid)
+    assert threads == [threading.get_ident()] * 2
+    assert single.samples == pooled.samples
 
 
 def test_fit_poly_recovers_cubic():

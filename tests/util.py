@@ -11,6 +11,10 @@ These deliberately avoid the library's own measure implementations:
   sampling on positive semidefiniteness,
 * ``reference_choi`` simulates a code's corrected Choi state with dense
   operators only, independently of ``decoq.sim``'s contractions,
+* ``tensordot_apply_gate`` and ``tensordot_apply_channel_wire`` apply a gate
+  or a per-wire channel by ``np.tensordot`` and ``np.moveaxis``, the
+  contraction ``decoq.sim`` replaced with one direct ``np.dot``: the same
+  product, so the results must be equal bit for bit,
 * ``reference_b2`` and ``reference_dawson`` evaluate the dephasing integral
   B^2(t) and Dawson's integral by panelized Gauss-Legendre quadrature,
   independently of ``decoq.dqd``'s closed form.
@@ -134,6 +138,33 @@ def kraus_sum_on_wire(rho, operators, wire):
                 out[:, i, :, :, k, :] += (op[i, j] * op[k, l].conj()
                                           * r[:, j, :, :, l, :])
     return out.reshape(rho.shape)
+
+
+def _tensordot_contract(tens, op, axes):
+    k = len(axes)
+    u = op.reshape((2,) * (2 * k))
+    tens = np.tensordot(u, tens, axes=(tuple(range(k, 2 * k)), tuple(axes)))
+    return np.moveaxis(tens, range(k), axes)
+
+
+def tensordot_apply_gate(state, gate):
+    """psi -> U psi or rho -> U rho U^dag by tensor contraction."""
+    m = state.shape[0].bit_length() - 1
+    tens = _tensordot_contract(state.reshape((2,) * (state.ndim * m)),
+                               gate.matrix, gate.wires)
+    if state.ndim == 2:
+        tens = _tensordot_contract(tens, gate.matrix.conj(),
+                                   tuple(m + w for w in gate.wires))
+    return tens.reshape(state.shape)
+
+
+def tensordot_apply_channel_wire(rho, operators, wire):
+    """The superoperator sum_k K_k (x) K_k^* contracted with one wire's
+    (row, column) axes."""
+    m = rho.shape[0].bit_length() - 1
+    superop = sum(np.kron(op, op.conj()) for op in operators)
+    return _tensordot_contract(rho.reshape((2,) * (2 * m)), superop,
+                               (wire, m + wire)).reshape(rho.shape)
 
 
 @functools.lru_cache(maxsize=16)
