@@ -80,7 +80,16 @@ def load_params(path) -> DqdParams:
     unknown = set(raw) - set(_JSON_KEYS)
     if unknown:
         raise ValueError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
-    return params_from_units(**{k: float(v) for k, v in raw.items()})
+    return params_from_units(**{k: _json_float(v) for k, v in raw.items()})
+
+
+def _json_float(value) -> float:
+    """A JSON value as a float; an integer beyond float range becomes an
+    infinity of its sign, which DqdParams then refuses by field name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def relaxation_rate(params: DqdParams) -> float:

@@ -5,7 +5,7 @@ order equal to wire order (wire 0 is the most significant bit of the basis
 index).  Gates act on one, two, three, or a block of wires.  A gate whose
 matrix is a permutation (X, CNOT, Toffoli, or a fused run of them) is
 applied as an exact index gather over the whole register; the gate caches
-that index once per register size.  Every other gate, and every channel's
+that index once per register size up to MAX_WIRES.  Every other gate, and every channel's
 superoperator, is applied by one ``np.dot`` against the state's (2,)*m or
 (2,)*2m view with the acted-on axes moved to the front.  ``fuse_gates``
 compiles a gate list into maximal permutation runs (composed by index
@@ -79,13 +79,16 @@ class Gate:
 
     def gather_index(self, m: int) -> np.ndarray:
         """A permutation gate's source index over an m-wire register
-        (``_register_src``), built once per register size, read-only.
+        (``_register_src``), read-only.  It is kept once per register size
+        up to MAX_WIRES, the simulator's registers; a larger one (only the
+        2m-wire vectors of ``circuit_unitary`` reach it) is built per call.
         Threads that race to build it all return the one stored first."""
         idx = self._gathers.get(m)
         if idx is None:
             idx = _register_src(self.src, self.wires, m)
             idx.setflags(write=False)
-            idx = self._gathers.setdefault(m, idx)
+            if m <= MAX_WIRES:
+                idx = self._gathers.setdefault(m, idx)
         return idx
 
 

@@ -64,8 +64,9 @@ class SweepResult:
 # registers (code.n + 1 wires) of at least this many wires measure their
 # points on a thread pool; smaller ones in the calling thread, because their
 # per-point work is mostly Python holding the interpreter lock, while the
-# large contractions of bigger registers run in numpy with it released
-POOL_MIN_WIRES = 8
+# large contractions of bigger registers run in numpy with it released.  On
+# 2 CPUs the pool lost on 6 wires (shor5) and won on every size from 7 to 10
+POOL_MIN_WIRES = 7
 
 
 def _measure_point(code, kind: str, p: float) -> float:

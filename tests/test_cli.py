@@ -177,7 +177,8 @@ def test_dqd_non_finite_params_are_bad_params_files(tmp_path, capsys):
               "a_nm": "dot_radius", "k_per_m": "phonon_wavevector"}
     path = tmp_path / "params.json"
     for key, field in fields.items():
-        for value in ("Infinity", "NaN", "1e400"):
+        for value in ("Infinity", "NaN", "1e400", "1" + "0" * 400,
+                      "-1" + "0" * 400):
             path.write_text(f'{{"{key}": {value}}}')
             capsys.readouterr()
             assert main(["dqd", "--params", str(path), "--steps", "1"]) == 2

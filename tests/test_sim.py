@@ -10,10 +10,11 @@ from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
 from decoq.codes import CODE_NAMES, QecCode, code_by_name, trivial_code
 from decoq.noise import (CHANNEL_KINDS, bit_flip, build_channel, depolarizing,
                          from_calibrated_p, phase_flip)
-from decoq.sim import (Circuit, Gate, apply_channel_wire, apply_gate,
-                       bell_choi_reference, block_unitary, circuit_unitary,
-                       cnot, cz, fuse_gates, hadamard, partial_trace,
-                       pauli_gate, shift_gates, simulate_choi, toffoli)
+from decoq.sim import (MAX_WIRES, Circuit, Gate, apply_channel_wire,
+                       apply_gate, bell_choi_reference, block_unitary,
+                       circuit_unitary, cnot, cz, fuse_gates, hadamard,
+                       partial_trace, pauli_gate, shift_gates, simulate_choi,
+                       toffoli)
 
 from util import (embed_operator, kraus_sum_on_wire, reference_choi,
                   tensordot_apply_channel_wire, tensordot_apply_gate)
@@ -207,6 +208,27 @@ def test_gather_index_is_cached_per_register_size():
         assert np.array_equal(apply_gate(psi, gate), full @ psi)
         rho = random_density(2 ** m, rng)
         assert np.array_equal(apply_gate(rho, gate), full @ rho @ full.T)
+
+
+def test_gather_index_is_not_kept_beyond_the_simulator_registers():
+    gate = toffoli(2, 0, 1)
+    m = MAX_WIRES + 1
+    idx = gate.gather_index(m)
+    assert idx is not gate.gather_index(m) and m not in gate._gathers
+    assert not idx.flags.writeable
+    psi = np.random.default_rng(33).normal(size=2 ** m).astype(complex)
+    assert np.array_equal(apply_gate(psi, gate),
+                          tensordot_apply_gate(psi, gate))
+    # circuit_unitary applies shor9's fused gathers to a 20-wire vector
+    shor9 = code_by_name("shor9")
+    simulate_choi(shor9, depolarizing(0.01))
+    gates = shor9.decode_gates
+    before = [dict(g._gathers) for g in gates]
+    assert any(before)
+    circuit_unitary(Circuit(10, gates))
+    for g, kept in zip(gates, before):
+        assert g._gathers.keys() == kept.keys()
+        assert all(g._gathers[k] is kept[k] for k in kept)
 
 
 def test_circuit_unitary_applies_gates_in_order():
