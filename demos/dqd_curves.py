@@ -7,9 +7,8 @@ including what an operation count does to the budget.
 """
 import numpy as np
 
-from decoq.dqd import (amp_poly, default_params, dqd_decoherence,
-                       dqd_error_probs, phase_poly, relaxation_rate,
-                       spectral_function)
+from decoq.dqd import (decoherence_pair, default_params, dqd_error_probs,
+                       relaxation_rate, spectral_function)
 
 params = default_params()
 print("device parameters (SI):")
@@ -31,7 +30,7 @@ header = (f"  {'t [s]':>9}  {'p1 relax':>12}  {'p2 dephase':>12}  "
 print(header)
 for t in np.geomspace(1e-13, 1e-9, 9):
     p1, p2, _ = dqd_error_probs(params, t)
-    d0, d = dqd_decoherence(params, t)
+    d0, d = decoherence_pair(p1, p2)
     print(f"  {t:>9.1e}  {p1:>12.6e}  {p2:>12.6e}  {d0:>12.6e}  {d:>12.6e}")
 
 print("\nwith 100 operations per cycle the probabilities scale up and can "
@@ -39,8 +38,7 @@ print("\nwith 100 operations per cycle the probabilities scale up and can "
 print(header + "  clamped")
 for t in np.geomspace(1e-13, 1e-10, 7):
     p1, p2, clamped = dqd_error_probs(params, t, n_ops=100)
-    d0 = max(p1, p2)
-    d = max(amp_poly(p1), phase_poly(p2))
+    d0, d = decoherence_pair(p1, p2)
     print(f"  {t:>9.1e}  {p1:>12.6e}  {p2:>12.6e}  {d0:>12.6e}  {d:>12.6e}"
           f"  {'yes' if clamped else 'no':>7}")
 

@@ -11,13 +11,13 @@ from .decoherence import (bloch_map, fibonacci_sphere, is_diagonal,
                           measure_auto, measure_by_definition,
                           measure_diagonal, measure_general,
                           measure_quadratic)
-from .dqd import (DqdParams, amp_poly, default_params, dqd_decoherence,
-                  dqd_error_probs, load_params, params_from_units, phase_poly,
-                  relaxation_rate, spectral_function)
-from .noise import (CHANNEL_KINDS, NoiseSpec, amplitude_damping, bit_flip,
-                    build_channel, calibrated_probability, chi_formula,
-                    depolarizing, format_spec, from_calibrated_p, make_spec,
-                    native_from_calibrated, phase_damping, phase_flip)
+from .dqd import (DqdParams, amp_poly, decoherence_pair, default_params,
+                  dqd_decoherence, dqd_error_probs, load_params,
+                  params_from_units, phase_poly, relaxation_rate,
+                  spectral_function)
+from .noise import (CHANNEL_KINDS, FAMILIES, NoiseSpec, build_channel,
+                    calibrated_probability, chi_formula, family, format_spec,
+                    from_calibrated_p, make_spec, native_from_calibrated)
 from .sim import (Circuit, Gate, apply_gate, block_unitary, cnot,
                   controlled_pauli, cz, hadamard, partial_trace, pauli_gate,
                   simulate_choi, toffoli)

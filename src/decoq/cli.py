@@ -12,7 +12,8 @@ dqd      -- CSV of the double-quantum-dot curves over a logarithmic time grid.
 CSV files use 12-significant-digit scientific notation, a header row, and LF
 line endings; identical configurations produce byte-identical files.  Exit
 codes: 0 success, 2 configuration error, 3 range/validation error (including
-nan or infinite values of any float flag, and a --steps above MAX_STEPS).
+nan or infinite values of any float flag, a --steps above MAX_STEPS, and a
+``channel --p`` whose chi matrix or spectrum overflows floating point).
 ``dqd`` evaluates B^2(t) in closed form, so any finite --tmax is accepted.
 """
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .channels import chi_to_choi, chi_to_kraus, kraus_to_chi, verify_cptp
 from .codes import CODE_NAMES, code_by_name
 from .decoherence import (is_diagonal, measure_auto, measure_by_definition,
                           measure_diagonal, measure_general)
-from .sweep import (CALIBRATED_CAP, ThreadCapError, break_even, fit_poly,
-                    sweep)
+from .sweep import ThreadCapError, break_even, fit_poly, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,8 +62,16 @@ def cmd_channel(args) -> int:
         print(f"error: unknown channel kind {kind!r}", file=sys.stderr)
         return EXIT_CONFIG
     native = args.p
-    chi = noise.chi_formula(kind, native)
-    report = verify_cptp(chi)
+    # far outside the physical range the chi matrix or its spectrum leaves
+    # floating point, and the report is refused before anything is printed
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            chi = noise.chi_formula(kind, native)
+            report = verify_cptp(chi)
+            eigs = np.linalg.eigvalsh(chi_to_choi(chi))
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
+        raise ValueError(f"--p {native!r} is too large in magnitude for the "
+                         f"{kind} chi matrix") from None
 
     print(f"channel: {kind}  native parameter: {native!r}")
     if report.completely_positive:
@@ -77,8 +85,6 @@ def cmd_channel(args) -> int:
         print("chi matrix (imag part):")
         for row in chi.imag:
             print("  " + "  ".join(f"{v:+.6f}" for v in row))
-    tau = chi_to_choi(chi)
-    eigs = np.linalg.eigvalsh(tau)
     print("choi eigenvalues: " + "  ".join(_fmt(v) for v in eigs))
     cp = "ok" if report.completely_positive else "VIOLATED"
     tp = "ok" if report.trace_preserving else "VIOLATED"
@@ -172,8 +178,7 @@ def cmd_fit(args) -> int:
     for i, a in enumerate(poly.coefficients, start=1):
         print(f"alpha_{i} = {_fmt(a)}")
     print(f"max residual over samples = {_fmt(poly.residual)}")
-    cap = CALIBRATED_CAP[args.channel]
-    be = break_even(poly, p_max=cap)
+    be = break_even(poly, p_max=noise.FAMILIES[args.channel].cap)
     if be.status == "found":
         print(f"break_even p* = {_fmt(be.p)}")
     else:
@@ -194,12 +199,11 @@ def cmd_dqd(args) -> int:
     if not 0.0 < args.tmin <= args.tmax:
         raise ValueError("need 0 < --tmin <= --tmax")
     ts = np.geomspace(args.tmin, args.tmax, args.steps)
-    probs = [dqd_mod.dqd_error_probs(params, t, args.n_ops) for t in ts]
     rows = ["t_s,p1,p2,D0,D,clamped"]
     pts_d0, pts_d = [], []
-    for t, (p1, p2, clamped) in zip(ts, probs):
-        d0 = max(p1, p2)
-        d = max(dqd_mod.amp_poly(p1), dqd_mod.phase_poly(p2))
+    for t in ts:
+        p1, p2, clamped = dqd_mod.dqd_error_probs(params, t, args.n_ops)
+        d0, d = dqd_mod.decoherence_pair(p1, p2)
         rows.append(f"{_fmt(t)},{_fmt(p1)},{_fmt(p2)},{_fmt(d0)},{_fmt(d)},"
                     f"{int(clamped)}")
         pts_d0.append((t, d0))

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import FAMILIES
+
 HBAR = 1.054571817e-34        # J s
 EV = 1.602176634e-19          # J
 
@@ -210,12 +212,17 @@ def phase_poly(p: float) -> float:
     return 10.0 * p * p * (1.0 - 2.0 * p + p * p)
 
 
+_RELAXATION = FAMILIES["amplitude_damping"]
+_DEPHASING = FAMILIES["phase_damping"]
+
+
 def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1):
     """(p1, p2, clamped): relaxation and dephasing error probabilities.
 
-    p1 = 1 - exp(-Gamma t) and p2 = (1 - exp(-B^2(t)))/2 are scaled by the
-    operation count n_ops and clamped to their calibrated ranges ([0,1] and
-    [0,1/2]); ``clamped`` reports whether either cap was hit.
+    p1 = 1 - exp(-Gamma t) and p2 = (1 - exp(-B^2(t)))/2, the calibrations of
+    amplitude and phase damping, are scaled by the operation count n_ops and
+    clamped to those families' caps (1 and 1/2); ``clamped`` reports whether
+    either cap was hit.
     """
     t = float(t)          # a huge t overflows to inf without a numpy warning
     if t < 0.0:
@@ -226,25 +233,20 @@ def dqd_error_probs(params: DqdParams, t: float, n_ops: int = 1):
         float(n_ops)
     except OverflowError:
         raise ValueError("n_ops is too large to convert to a float") from None
-    p1 = -math.expm1(-relaxation_rate(params) * t)
-    p2 = -math.expm1(-spectral_function(params, t)) / 2.0
-    p1, p2 = n_ops * p1, n_ops * p2
-    clamped = False
-    if p1 > 1.0:
-        p1, clamped = 1.0, True
-    if p2 > 0.5:
-        p2, clamped = 0.5, True
-    return p1, p2, clamped
+    p1 = n_ops * _RELAXATION.calibrate(relaxation_rate(params) * t)
+    p2 = n_ops * _DEPHASING.calibrate(spectral_function(params, t))
+    clamped = p1 > _RELAXATION.cap or p2 > _DEPHASING.cap
+    return min(p1, _RELAXATION.cap), min(p2, _DEPHASING.cap), clamped
+
+
+def decoherence_pair(p1: float, p2: float):
+    """(D0, D) at the error probabilities (p1, p2): the larger bare measure
+    and the larger of the two 5-qubit-corrected closed-form polynomials."""
+    return max(p1, p2), max(amp_poly(p1), phase_poly(p2))
 
 
 def dqd_decoherence(params: DqdParams, t: float, n_ops: int = 1):
-    """(D0, D): uncorrected and 5-qubit-corrected decoherence at cycle time t.
-
-    D0 is the larger of the two single-qubit error probabilities; D is the
-    larger of the two corrected closed-form polynomials, evaluated at the
-    scaled (and possibly clamped) probabilities.
-    """
+    """(D0, D): uncorrected and 5-qubit-corrected decoherence at cycle time t,
+    from the scaled (and possibly clamped) error probabilities."""
     p1, p2, _ = dqd_error_probs(params, t, n_ops)
-    d0 = max(p1, p2)
-    d = max(amp_poly(p1), phase_poly(p2))
-    return d0, d
+    return decoherence_pair(p1, p2)

@@ -19,20 +19,8 @@ import numpy as np
 from .channels import choi_to_chi
 from .codes import code_by_name
 from .decoherence import measure_auto
-from .noise import from_calibrated_p, native_from_calibrated
+from .noise import family, from_calibrated_p, native_from_calibrated
 from .sim import simulate_choi
-
-# least upper bound of each family's calibrated p, where ``decoq fit`` ends
-# its break-even search; the damping families reach theirs only in the limit
-# of infinite damping, so ``sweep`` (like ``noise.native_from_calibrated``)
-# refuses p at their cap
-CALIBRATED_CAP = {
-    "bit_flip": 1.0,
-    "phase_flip": 1.0,
-    "depolarizing": 2.0 / 3.0,
-    "amplitude_damping": 1.0,
-    "phase_damping": 0.5,
-}
 
 
 @dataclass(frozen=True)
@@ -80,13 +68,16 @@ class ThreadCapError(ValueError):
 
 
 def _worker_count(n_jobs: int) -> int:
+    """Pool size: one worker per job, at most DECOM_THREADS and at most one
+    per CPU (the pool starts a thread per queued job while none is idle)."""
+    cpus = os.cpu_count() or 1
     cap = os.environ.get("DECOM_THREADS")
     try:
-        cap = int(cap) if cap else (os.cpu_count() or 1)
+        cap = int(cap) if cap else cpus
     except ValueError:
         raise ThreadCapError(
             f"DECOM_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(n_jobs, cap))
+    return max(1, min(n_jobs, cap, cpus))
 
 
 def sweep(code_name: str, channel_kind: str, p_values,
@@ -97,8 +88,7 @@ def sweep(code_name: str, channel_kind: str, p_values,
     p_values = [float(p) for p in p_values]
     if code is None:
         code = code_by_name(code_name)
-    if channel_kind not in CALIBRATED_CAP:
-        raise ValueError(f"unknown channel kind {channel_kind!r}")
+    family(channel_kind)                  # refuses an unknown kind
     for p in p_values:
         try:
             native_from_calibrated(channel_kind, p)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from decoq.cli import MAX_STEPS, build_parser, main
-from decoq.sweep import CALIBRATED_CAP
+from decoq.noise import FAMILIES
 
 
 def test_channel_report(capsys):
@@ -47,6 +47,31 @@ def test_channel_non_finite_parameter(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_channel_at_extreme_parameters(capsys):
+    # far outside the physical range the chi matrix (damping at a large
+    # negative exponent) or its spectrum (flips and depolarizing near the
+    # float limit) leaves floating point: one line naming --p and exit 3;
+    # closer in, an unphysical parameter still gets its VIOLATED report
+    refused = {(kind, v) for kind in ("bit_flip", "phase_flip", "depolarizing")
+               for v in (1e308, -1e308)}
+    refused |= {(kind, v) for kind in ("amplitude_damping", "phase_damping")
+                for v in (-1e308, -1000.0)}
+    for kind in FAMILIES:
+        for value in (1e308, -1e308, 1000.0, -1000.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")     # no numpy warning either
+                code = main(["channel", "--channel", kind, f"--p={value!r}"])
+            out, err = capsys.readouterr()
+            if (kind, value) in refused:
+                assert code == 3 and out == ""
+                assert err.splitlines() == [
+                    f"error: --p {value!r} is too large in magnitude for the "
+                    f"{kind} chi matrix"]
+            else:
+                assert code == 0 and err == ""
+                assert out.startswith(f"channel: {kind}  native parameter: ")
+
+
 def test_sweep_csv_is_deterministic(tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--code", "bit3", "--channel", "bit_flip",
@@ -76,10 +101,10 @@ def test_sweep_exit_codes(capsys):
                  "--pmax", "0.9", "--steps", "3"]) == 3
 
 
-@pytest.mark.parametrize("kind", sorted(CALIBRATED_CAP))
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_sweep_at_calibrated_cap(kind, capsys):
     # the damping families reach their cap only at infinite damping
-    cap = CALIBRATED_CAP[kind]
+    cap = FAMILIES[kind].cap
     argv = ["sweep", "--code", "bit3", "--channel", kind,
             "--pmin", repr(cap), "--pmax", repr(cap), "--steps", "1"]
     if kind in ("amplitude_damping", "phase_damping"):

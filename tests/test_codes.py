@@ -7,7 +7,7 @@ from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
 from decoq.codes import (CODE_NAMES, QecCode, bit_flip_code, build_recovery,
                          code_by_name, shor5_code, shor9_code)
 from decoq.decoherence import measure_auto
-from decoq.noise import bit_flip
+from decoq.noise import build_channel
 from decoq.sim import Circuit, bell_choi_reference, simulate_choi
 
 _BELL = bell_choi_reference()
@@ -50,7 +50,7 @@ def test_nine_qubit_code_spot_checks():
 
 
 def test_bit3_known_logical_error_rate():
-    tau = simulate_choi(bit_flip_code(), bit_flip(0.2))
+    tau = simulate_choi(bit_flip_code(), build_channel("bit_flip", 0.2))
     d = measure_auto(choi_to_chi(tau))
     assert abs(d - 0.104) < 1e-12           # 3 p^2 - 2 p^3 at p = 0.2
 
@@ -61,8 +61,8 @@ def test_synthesized_recovery_matches_explicit_decoder():
     alt = QecCode("bit3r", 3, base.encoder, Circuit(3, ()), (rec,),
                   base.corrects)
     for p in (0.0, 0.13, 0.3):
-        t1 = simulate_choi(base, bit_flip(p))
-        t2 = simulate_choi(alt, bit_flip(p))
+        t1 = simulate_choi(base, build_channel("bit_flip", p))
+        t2 = simulate_choi(alt, build_channel("bit_flip", p))
         assert np.abs(t1 - t2).max() < 1e-12
 
 

@@ -9,7 +9,7 @@ from decoq.decoherence import (bloch_map, fibonacci_sphere, is_diagonal,
                                measure_auto, measure_by_definition,
                                measure_diagonal, measure_general,
                                measure_quadratic)
-from decoq.noise import amplitude_damping, build_channel, chi_formula
+from decoq.noise import build_channel, chi_formula
 
 import util
 
@@ -98,7 +98,8 @@ def _pauli_then_damping(px, py, pz, gamma_t, rotation=None):
     optionally conjugated by a 2x2 unitary (a rotation of the Bloch frame)."""
     pauli = (np.sqrt(1.0 - px - py - pz) * PAULI_I, np.sqrt(px) * PAULI_X,
              np.sqrt(py) * PAULI_Y, np.sqrt(pz) * PAULI_Z)
-    ops = [k @ p for k in amplitude_damping(gamma_t).operators for p in pauli]
+    damping = build_channel("amplitude_damping", gamma_t)
+    ops = [k @ p for k in damping.operators for p in pauli]
     if rotation is not None:
         ops = [rotation @ op @ rotation.conj().T for op in ops]
     return kraus_to_chi(KrausChannel(tuple(ops)))

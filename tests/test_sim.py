@@ -8,8 +8,7 @@ from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             kraus_to_choi, maximally_entangled,
                             random_density, random_kraus_channel)
 from decoq.codes import CODE_NAMES, QecCode, code_by_name, trivial_code
-from decoq.noise import (CHANNEL_KINDS, bit_flip, build_channel, depolarizing,
-                         from_calibrated_p, phase_flip)
+from decoq.noise import CHANNEL_KINDS, build_channel, from_calibrated_p
 from decoq.sim import (MAX_WIRES, Circuit, Gate, apply_channel_wire,
                        apply_gate, bell_choi_reference, block_unitary,
                        circuit_unitary, cnot, cz, fuse_gates, hadamard,
@@ -88,17 +87,17 @@ def test_block_unitary_multi_wire():
 
 def test_apply_channel_wire_on_each_wire():
     rho = _ket((0, 0))
-    out = apply_channel_wire(apply_channel_wire(rho, bit_flip(0.2), 0),
-                             bit_flip(0.2), 1)
+    flip = build_channel("bit_flip", 0.2)
+    out = apply_channel_wire(apply_channel_wire(rho, flip, 0), flip, 1)
     want = np.kron(np.diag([0.8, 0.2]), np.diag([0.8, 0.2]))
     assert np.abs(out - want).max() < 1e-14
     # channels on different wires commute
-    ch = depolarizing(0.3)
+    ch = build_channel("depolarizing", 0.3)
     a = apply_channel_wire(apply_channel_wire(rho, ch, 0), ch, 1)
     b = apply_channel_wire(apply_channel_wire(rho, ch, 1), ch, 0)
     assert np.abs(a - b).max() < 1e-12
     with pytest.raises(ValueError):
-        apply_channel_wire(rho, bit_flip(0.1), 2)
+        apply_channel_wire(rho, build_channel("bit_flip", 0.1), 2)
 
 
 def test_partial_trace():
@@ -129,11 +128,12 @@ def test_partial_trace():
 def test_dephasing_between_hadamards_is_a_bit_flip():
     rho = np.diag([1.0, 0.0]).astype(complex)
     out = apply_gate(rho, hadamard(0))
-    out = apply_channel_wire(out, phase_flip(0.3), 0)
+    out = apply_channel_wire(out, build_channel("phase_flip", 0.3), 0)
     out = apply_gate(out, hadamard(0))
     assert np.abs(out - np.diag([0.7, 0.3])).max() < 1e-12
     with pytest.raises(ValueError):
-        apply_channel_wire(np.eye(3, dtype=complex) / 3.0, phase_flip(0.3), 0)
+        apply_channel_wire(np.eye(3, dtype=complex) / 3.0,
+                           build_channel("phase_flip", 0.3), 0)
 
 
 def test_apply_gate_on_a_vector_matches_the_density_matrix():
@@ -221,7 +221,7 @@ def test_gather_index_is_not_kept_beyond_the_simulator_registers():
                           tensordot_apply_gate(psi, gate))
     # circuit_unitary applies shor9's fused gathers to a 20-wire vector
     shor9 = code_by_name("shor9")
-    simulate_choi(shor9, depolarizing(0.01))
+    simulate_choi(shor9, build_channel("depolarizing", 0.01))
     gates = shor9.decode_gates
     before = [dict(g._gathers) for g in gates]
     assert any(before)
@@ -309,14 +309,15 @@ def test_simulate_choi_trivial_code_reproduces_channel_choi():
 
 def test_simulate_choi_is_linear_in_the_channel():
     code = trivial_code()
-    t1 = simulate_choi(code, bit_flip(0.0))
-    t2 = simulate_choi(code, bit_flip(1.0))
-    tm = simulate_choi(code, bit_flip(0.25))
+    t1 = simulate_choi(code, build_channel("bit_flip", 0.0))
+    t2 = simulate_choi(code, build_channel("bit_flip", 1.0))
+    tm = simulate_choi(code, build_channel("bit_flip", 0.25))
     assert np.abs(tm - (0.75 * t1 + 0.25 * t2)).max() < 1e-12
 
 
 def test_simulate_choi_output_is_physical():
-    tau = simulate_choi(code_by_name("bit3"), depolarizing(0.3))
+    tau = simulate_choi(code_by_name("bit3"),
+                        build_channel("depolarizing", 0.3))
     assert abs(np.trace(tau).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(tau).min() > -1e-12
     assert np.trace(tau @ tau).real <= 1.0 + 1e-12
@@ -352,7 +353,7 @@ def test_simulate_choi_matches_dense_reference(name, kind):
 def test_simulate_choi_per_wire_paulis_match_dense_reference(name):
     code = _shared_code(name)
     paulis = (KrausChannel((PAULI_X,)), None, KrausChannel((PAULI_Y,)),
-              depolarizing(0.2), KrausChannel((PAULI_Z,)))
+              build_channel("depolarizing", 0.2), KrausChannel((PAULI_Z,)))
     per_wire = tuple(paulis[w % len(paulis)] for w in range(code.n))
     want = reference_choi(code, per_wire)
     assert np.abs(simulate_choi(code, per_wire) - want).max() < 1e-14

@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from decoq.sweep import (CALIBRATED_CAP, POOL_MIN_WIRES, PolyCoeffs,
+from decoq.noise import FAMILIES
+from decoq.sweep import (POOL_MIN_WIRES, PolyCoeffs, _worker_count,
                          break_even, fit_poly, sweep)
 
 
@@ -32,7 +33,8 @@ def test_sweep_range_and_name_checks():
     with pytest.raises(ValueError):
         sweep("bit3", "depolarizing", (0.7,))
     # the range check agrees with noise.native_from_calibrated at each cap
-    for kind, cap in CALIBRATED_CAP.items():
+    for kind, fam in FAMILIES.items():
+        cap = fam.cap
         if kind in ("amplitude_damping", "phase_damping"):
             with pytest.raises(ValueError, match=r"must lie in \[0, 1(/2)?\)"):
                 sweep("bit3", kind, (cap,))
@@ -81,6 +83,24 @@ def test_thread_cap_env(monkeypatch):
     single = sweep("shor9", "depolarizing", grid)
     assert threads == [threading.get_ident()] * 2
     assert single.samples == pooled.samples
+
+
+def test_worker_count_is_bounded_by_the_cpus(monkeypatch):
+    # the pool starts a thread per queued job while none is idle, so the
+    # worker count, not DECOM_THREADS, must bound it; no pool is started here
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("DECOM_THREADS", "100000")
+    assert _worker_count(10 ** 6) == 8
+    assert _worker_count(3) == 3
+    monkeypatch.setenv("DECOM_THREADS", "4")
+    assert _worker_count(10 ** 6) == 4
+    monkeypatch.setenv("DECOM_THREADS", "0")
+    assert _worker_count(10 ** 6) == 1
+    monkeypatch.delenv("DECOM_THREADS")
+    assert _worker_count(10 ** 6) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("DECOM_THREADS", "100000")
+    assert _worker_count(10 ** 6) == 1
 
 
 def test_fit_poly_recovers_cubic():
