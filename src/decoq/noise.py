@@ -135,12 +135,16 @@ FAMILIES = {
 CHANNEL_KINDS = tuple(FAMILIES)
 
 
+class UnknownKindError(ValueError):
+    """A channel kind that is not in FAMILIES (a configuration error)."""
+
+
 def family(kind: str) -> Family:
     """The record of a channel family, by kind name."""
     try:
         return FAMILIES[kind]
     except KeyError:
-        raise ValueError(f"unknown channel kind {kind!r}") from None
+        raise UnknownKindError(f"unknown channel kind {kind!r}") from None
 
 
 @dataclass(frozen=True)

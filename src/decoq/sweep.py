@@ -86,9 +86,9 @@ def sweep(code_name: str, channel_kind: str, p_values,
     a thread pool only for registers of POOL_MIN_WIRES or more wires and a
     worker cap above 1."""
     p_values = [float(p) for p in p_values]
+    family(channel_kind)                  # refuses an unknown kind
     if code is None:
         code = code_by_name(code_name)
-    family(channel_kind)                  # refuses an unknown kind
     for p in p_values:
         try:
             native_from_calibrated(channel_kind, p)

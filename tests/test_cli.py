@@ -35,8 +35,12 @@ def test_channel_unphysical_parameter(capsys):
     assert "measure: skipped" in out
 
 
+UNKNOWN_KIND = ("", "error: unknown channel kind 'gauss'\n")
+
+
 def test_channel_unknown_kind(capsys):
     assert main(["channel", "--channel", "gauss", "--p", "0.1"]) == 2
+    assert capsys.readouterr() == UNKNOWN_KIND
 
 
 def test_channel_non_finite_parameter(capsys):
@@ -51,25 +55,42 @@ def test_channel_at_extreme_parameters(capsys):
     # far outside the physical range the chi matrix (damping at a large
     # negative exponent) or its spectrum (flips and depolarizing near the
     # float limit) leaves floating point: one line naming --p and exit 3;
-    # closer in, an unphysical parameter still gets its VIOLATED report
+    # closer in, an unphysical parameter still gets its VIOLATED report,
+    # in short lines (amplitude damping at -700 has chi entries near 2.5e303)
     refused = {(kind, v) for kind in ("bit_flip", "phase_flip", "depolarizing")
                for v in (1e308, -1e308)}
     refused |= {(kind, v) for kind in ("amplitude_damping", "phase_damping")
                 for v in (-1e308, -1000.0)}
-    for kind in FAMILIES:
-        for value in (1e308, -1e308, 1000.0, -1000.0):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")     # no numpy warning either
-                code = main(["channel", "--channel", kind, f"--p={value!r}"])
-            out, err = capsys.readouterr()
-            if (kind, value) in refused:
-                assert code == 3 and out == ""
-                assert err.splitlines() == [
-                    f"error: --p {value!r} is too large in magnitude for the "
-                    f"{kind} chi matrix"]
-            else:
-                assert code == 0 and err == ""
-                assert out.startswith(f"channel: {kind}  native parameter: ")
+    cases = [(kind, value) for kind in FAMILIES
+             for value in (1e308, -1e308, 1000.0, -1000.0)]
+    for kind, value in cases + [("amplitude_damping", -700.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no numpy warning either
+            code = main(["channel", "--channel", kind, f"--p={value!r}"])
+        out, err = capsys.readouterr()
+        if (kind, value) in refused:
+            assert code == 3 and out == ""
+            assert err.splitlines() == [
+                f"error: --p {value!r} is too large in magnitude for the "
+                f"{kind} chi matrix"]
+        else:
+            assert code == 0 and err == ""
+            assert out.startswith(f"channel: {kind}  native parameter: ")
+            assert max(len(line) for line in out.splitlines()) <= 120
+
+
+def test_chi_entries_keep_fixed_point_below_a_million(capsys):
+    assert main(["channel", "--channel", "amplitude_damping",
+                 "--p=-700.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:6]
+    assert rows[0].split() == ["+2.535580e+303", "+0.000000", "+0.000000",
+                               "-2.535580e+303"]
+    # phase damping at -13 has chi entries (1 +- e^13)/2, near 2.2e5
+    assert main(["channel", "--channel", "phase_damping", "--p=-13.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:6]
+    assert rows[0].split() == ["+221207.196004", "+0.000000", "+0.000000",
+                               "+0.000000"]
+    assert rows[3].split()[3] == "-221206.196004"
 
 
 def test_sweep_csv_is_deterministic(tmp_path):
@@ -92,7 +113,12 @@ def test_sweep_csv_is_deterministic(tmp_path):
 
 def test_sweep_exit_codes(capsys):
     assert main(["sweep", "--code", "steane", "--channel", "bit_flip"]) == 2
-    assert main(["sweep", "--code", "bit3", "--channel", "gauss"]) == 2
+    capsys.readouterr()
+    # the kind is checked before --steps and the p range, and stays exit 2
+    for extra in ([], ["--steps", "0"], ["--pmin", "0.5", "--pmax", "0.1"]):
+        assert main(["sweep", "--code", "bit3", "--channel", "gauss"]
+                    + extra) == 2
+        assert capsys.readouterr() == UNKNOWN_KIND
     assert main(["sweep", "--code", "bit3", "--channel", "bit_flip",
                  "--pmin", "0.5", "--pmax", "0.1"]) == 3
     assert main(["sweep", "--code", "bit3", "--channel", "bit_flip",
@@ -153,7 +179,9 @@ def test_fit_output(capsys):
 
 def test_fit_unknown_code(capsys):
     assert main(["fit", "--code", "steane", "--channel", "bit_flip"]) == 2
+    capsys.readouterr()
     assert main(["fit", "--code", "bit3", "--channel", "gauss"]) == 2
+    assert capsys.readouterr() == UNKNOWN_KIND
 
 
 def test_dqd_csv(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 
 from decoq.channels import kraus_to_chi, kraus_to_choi, verify_cptp
 from decoq.decoherence import measure_auto
-from decoq.noise import (CHANNEL_KINDS, FAMILIES, build_channel,
-                         calibrated_probability, chi_formula, family,
-                         format_spec, from_calibrated_p, make_spec,
+from decoq.noise import (CHANNEL_KINDS, FAMILIES, UnknownKindError,
+                         build_channel, calibrated_probability, chi_formula,
+                         family, format_spec, from_calibrated_p, make_spec,
                          native_from_calibrated)
 from decoq.sweep import sweep
 
@@ -195,8 +195,10 @@ def test_unknown_kind_is_one_error():
              lambda: make_spec("gauss", p=0.1),
              lambda: sweep("none", "gauss", (0.1,)))
     for call in calls:
-        with pytest.raises(ValueError) as exc:
+        # a ValueError, whose subclass the CLI maps to exit 2
+        with pytest.raises(UnknownKindError) as exc:
             call()
+        assert isinstance(exc.value, ValueError)
         assert str(exc.value) == "unknown channel kind 'gauss'"
 
 

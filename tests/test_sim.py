@@ -1,12 +1,15 @@
 """Gate application, per-wire noise, partial trace, and Choi extraction."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from decoq import sim
 from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             kraus_to_choi, maximally_entangled,
                             random_density, random_kraus_channel)
+from decoq.cli import _FIT_POLICY
 from decoq.codes import CODE_NAMES, QecCode, code_by_name, trivial_code
 from decoq.noise import CHANNEL_KINDS, build_channel, from_calibrated_p
 from decoq.sim import (MAX_WIRES, Circuit, Gate, apply_channel_wire,
@@ -16,7 +19,8 @@ from decoq.sim import (MAX_WIRES, Circuit, Gate, apply_channel_wire,
                        toffoli)
 
 from util import (embed_operator, kraus_sum_on_wire, reference_choi,
-                  tensordot_apply_channel_wire, tensordot_apply_gate)
+                  tensordot_apply_channel_wire, tensordot_apply_gate,
+                  tensordot_simulate_choi)
 
 
 def _ket(bits):
@@ -169,9 +173,28 @@ def test_superoperator_matches_kraus_sum_for_a_non_unital_channel():
                       ).max() < 1e-14
 
 
-def test_contractions_equal_the_tensordot_oracle():
-    rng = np.random.default_rng(31)
+def _check_against(apply, state, want):
+    """``apply(state)`` and ``apply(state, out=...)`` into a separate buffer
+    and into ``state`` itself all equal ``want`` bit for bit; without
+    ``out`` the input is left as it was."""
+    before = state.copy()
+    assert np.array_equal(apply(state), want)
+    assert np.array_equal(state, before)
+    buf = np.empty_like(state)
+    assert apply(state, out=buf) is buf and np.array_equal(buf, want)
+    assert np.array_equal(state, before)
+    assert apply(state, out=state) is state and np.array_equal(state, want)
 
+
+def test_contractions_equal_the_tensordot_oracle(monkeypatch):
+    # with a block of 4 entries every contraction on the 4-wire register
+    # runs in blocks of four columns: 16 blocks for a superoperator
+    for block in (sim.BLOCK_ENTRIES, 4):
+        monkeypatch.setattr(sim, "BLOCK_ENTRIES", block)
+        _check_contractions(np.random.default_rng(31))
+
+
+def _check_contractions(rng):
     def unitary(k):
         g = rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
         return np.linalg.qr(g)[0]
@@ -184,16 +207,27 @@ def test_contractions_equal_the_tensordot_oracle():
     for gate in gates:
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         for state in (psi, random_density(16, rng)):
-            assert np.array_equal(apply_gate(state, gate),
-                                  tensordot_apply_gate(state, gate))
+            _check_against(lambda s, **kw: apply_gate(s, gate, **kw), state,
+                           tensordot_apply_gate(state, gate))
     ch = random_kraus_channel(rng)
     assert np.abs(sum(op @ op.conj().T for op in ch.operators)
                   - np.eye(2)).max() > 0.1                    # non-unital
     rho = random_density(16, rng)
     for wire in range(4):
-        assert np.array_equal(apply_channel_wire(rho, ch, wire),
-                              tensordot_apply_channel_wire(rho, ch.operators,
-                                                           wire))
+        _check_against(lambda s, **kw: apply_channel_wire(s, ch, wire, **kw),
+                       rho.copy(),
+                       tensordot_apply_channel_wire(rho, ch.operators, wire))
+
+
+def test_out_must_be_a_contiguous_complex_array_of_the_state_shape():
+    rho = random_density(8, np.random.default_rng(34))
+    ch = build_channel("depolarizing", 0.1)
+    for out in (np.empty((8, 8)), np.empty((4, 16), dtype=complex),
+                np.empty((8, 8), dtype=complex, order="F")):
+        with pytest.raises(ValueError, match="out must be"):
+            apply_channel_wire(rho, ch, 0, out=out)
+        with pytest.raises(ValueError, match="out must be"):
+            apply_gate(rho, hadamard(1), out=out)
 
 
 def test_gather_index_is_cached_per_register_size():
@@ -357,3 +391,30 @@ def test_simulate_choi_per_wire_paulis_match_dense_reference(name):
     per_wire = tuple(paulis[w % len(paulis)] for w in range(code.n))
     want = reference_choi(code, per_wire)
     assert np.abs(simulate_choi(code, per_wire) - want).max() < 1e-14
+
+
+def test_shor9_fit_points_equal_the_tensordot_composition():
+    # the shor9 break-even p* that `decoq fit` prints is a cubic's
+    # extrapolation through these points, and moves at 1e-9 when their
+    # last bits do
+    code = _shared_code("shor9")
+    for p in _FIT_POLICY["shor9"]["points"]:
+        ch = from_calibrated_p("depolarizing", p)
+        assert np.array_equal(simulate_choi(code, ch),
+                              tensordot_simulate_choi(code, (ch,) * code.n))
+
+
+def test_shor9_simulation_holds_two_register_arrays():
+    # noise and decode write into the one register; the second array is a
+    # permutation gather's first half or the partial trace's copy
+    code = _shared_code("shor9")
+    ch = from_calibrated_p("depolarizing", 1e-3)
+    simulate_choi(code, ch)             # builds the cached gather indices
+    register = np.dtype(complex).itemsize * 4 ** (code.n + 1)
+    tracemalloc.start()
+    try:
+        simulate_choi(code, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * register + 2 ** 20

@@ -13,8 +13,9 @@ These deliberately avoid the library's own measure implementations:
   operators only, independently of ``decoq.sim``'s contractions,
 * ``tensordot_apply_gate`` and ``tensordot_apply_channel_wire`` apply a gate
   or a per-wire channel by ``np.tensordot`` and ``np.moveaxis``, the
-  contraction ``decoq.sim`` replaced with one direct ``np.dot``: the same
-  product, so the results must be equal bit for bit,
+  contraction ``decoq.sim`` replaced with blocks of one direct ``np.dot``
+  each: the same products, so the results must be equal bit for bit, and
+  ``tensordot_simulate_choi`` composes them into a whole correction round,
 * ``reference_b2`` and ``reference_dawson`` evaluate the dephasing integral
   B^2(t) and Dawson's integral by panelized Gauss-Legendre quadrature,
   independently of ``decoq.dqd``'s closed form.
@@ -25,6 +26,7 @@ import math
 import numpy as np
 
 from decoq.channels import PAULI_BASIS, apply_chi, chi_from_parameters
+from decoq.sim import partial_trace
 
 SIGMA = PAULI_BASIS[1:]
 
@@ -165,6 +167,25 @@ def tensordot_apply_channel_wire(rho, operators, wire):
     superop = sum(np.kron(op, op.conj()) for op in operators)
     return _tensordot_contract(rho.reshape((2,) * (2 * m)), superop,
                                (wire, m + wire)).reshape(rho.shape)
+
+
+def tensordot_simulate_choi(code, per_wire):
+    """``decoq.sim.simulate_choi`` out of the tensordot oracles: the fused
+    encoder on the pure state, one superoperator per noisy wire, and the
+    fused decoder, each contraction by ``np.tensordot`` into a new array;
+    then the library's own partial trace."""
+    m = code.n + 1
+    psi = np.zeros(2 ** m, dtype=complex)
+    psi[0] = psi[(1 << (m - 1)) + (1 << (m - 2))] = 1.0 / np.sqrt(2.0)
+    for gate in code.encode_gates:
+        psi = tensordot_apply_gate(psi, gate)
+    rho = np.outer(psi, psi.conj())
+    for w, ch in enumerate(per_wire):
+        if ch is not None:
+            rho = tensordot_apply_channel_wire(rho, ch.operators, 1 + w)
+    for gate in code.decode_gates:
+        rho = tensordot_apply_gate(rho, gate)
+    return partial_trace(rho, keep=(1, 0))
 
 
 @functools.lru_cache(maxsize=16)
