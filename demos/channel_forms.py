@@ -8,15 +8,15 @@ import numpy as np
 
 from decoq import (chi_to_choi, chi_to_kraus, choi_to_chi, kraus_to_chi,
                    kraus_to_choi, verify_cptp)
-from decoq.noise import build_channel, chi_formula, format_spec, make_spec
+from decoq.noise import build_channel, family
 
 np.set_printoptions(precision=5, suppress=True, linewidth=120)
 
+damping = family("amplitude_damping")
 for gamma_t in (0.1, 1.0, 3.0):
-    spec = make_spec("amplitude_damping", native=gamma_t)
     print("=" * 72)
-    print(f"{format_spec(spec)}   (calibrated p = {spec.calibrated_p:.6f}, "
-          f"frame = {spec.frame})")
+    print(f"kind=amplitude_damping,native={gamma_t!r}   (calibrated p = "
+          f"{damping.calibrate(gamma_t):.6f}, frame = {damping.frame})")
 
     channel = build_channel("amplitude_damping", gamma_t)
     print("\nKraus operators:")
@@ -26,7 +26,7 @@ for gamma_t in (0.1, 1.0, 3.0):
     chi = kraus_to_chi(channel)
     print("\nchi matrix (unnormalized Pauli basis I, X, Y, Z):")
     print(chi)
-    closed = chi_formula("amplitude_damping", gamma_t)
+    closed = damping.chi(gamma_t)
     print(f"matches the closed form to {np.abs(chi - closed).max():.2e}")
 
     tau = kraus_to_choi(channel)
@@ -49,7 +49,7 @@ for gamma_t in (0.1, 1.0, 3.0):
 
 print("=" * 72)
 print("\nA parameter outside the physical range is flagged, not crashed:")
-chi = chi_formula("bit_flip", 1.2)
+chi = family("bit_flip").chi(1.2)
 report = verify_cptp(chi)
 print(f"bit_flip at native 1.2 -> completely positive = "
       f"{report.completely_positive} (min eigenvalue "

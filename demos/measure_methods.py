@@ -12,7 +12,7 @@ from decoq import (chi_to_kraus, kraus_to_chi, measure_auto,
                    measure_by_definition, measure_diagonal, measure_general,
                    measure_quadratic)
 from decoq.channels import chi_from_parameters
-from decoq.noise import build_channel, chi_formula
+from decoq.noise import build_channel, family
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -40,7 +40,7 @@ def show(name, chi, expected=None):
 
 
 # Pauli channel: chi is diagonal, every route applies
-show("depolarizing, p = 0.3", chi_formula("depolarizing", 0.3), expected=0.3)
+show("depolarizing, p = 0.3", family("depolarizing").chi(0.3), expected=0.3)
 
 # unital but anisotropic: mixes X and Z errors with a cross term
 c = np.zeros(13)

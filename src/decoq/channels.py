@@ -37,9 +37,10 @@ PAULI_LABELS = ("I", "X", "Y", "Z")
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Kraus form of a completely positive trace-preserving map.
+    """Kraus form of a completely positive trace-preserving qubit map.
 
-    Operators are stored read-only; completeness is enforced at construction.
+    Operators are stored read-only.  They must be 2x2 and complete; this is
+    the one place a channel on anything but one qubit is refused.
     """
 
     operators: tuple
@@ -48,19 +49,15 @@ class KrausChannel:
         ops = tuple(np.array(op, dtype=complex) for op in self.operators)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
         for op in ops:
-            if op.ndim != 2 or op.shape != (d, d):
-                raise ValueError("Kraus operators must be square and share one dimension")
+            if op.shape != (2, 2):
+                raise ValueError("Kraus operators must be 2x2: channels act "
+                                 "on one qubit")
             op.setflags(write=False)
         comp = sum(op.conj().T @ op for op in ops)
-        if np.abs(comp - np.eye(d)).max() > 1e-10:
+        if np.abs(comp - np.eye(2)).max() > 1e-10:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
         object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
 
     @cached_property
     def superop(self) -> np.ndarray:
@@ -80,34 +77,6 @@ class CptpReport:
     min_eigenvalue: float
 
 
-def bloch_density(px: float, py: float, pz: float) -> np.ndarray:
-    """Density matrix (I + p.sigma)/2 for a Bloch vector with |p| <= 1."""
-    p = np.array([px, py, pz], dtype=float)
-    if p @ p > 1.0 + 1e-9:
-        raise ValueError("Bloch vector lies outside the unit ball")
-    return (PAULI_I + px * PAULI_X + py * PAULI_Y + pz * PAULI_Z) / 2.0
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix (normalized Wishart)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def vectorize(a: np.ndarray) -> np.ndarray:
-    """Row-major supervector of a matrix: [A11, ..., A1d, A21, ..., Add]."""
-    return np.asarray(a).reshape(-1)
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError("supervector length is not a perfect square")
-    return v.reshape(d, d)
-
-
 def maximally_entangled(d: int) -> np.ndarray:
     """State vector (1/sqrt(d)) sum_i |i>|i> of length d^2."""
     if d < 2:
@@ -117,39 +86,12 @@ def maximally_entangled(d: int) -> np.ndarray:
     return psi
 
 
-def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply a Kraus channel to a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim, channel.dim):
-        raise ValueError("state dimension does not match the channel")
-    out = np.zeros_like(rho)
-    for op in channel.operators:
-        out += op @ rho @ op.conj().T
-    return out
-
-
-def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a qubit channel given as a chi matrix in the Pauli basis."""
-    chi = np.asarray(chi)
-    if chi.shape != (4, 4):
-        raise ValueError("chi matrix must be 4x4")
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            if chi[a, b] != 0:
-                out += chi[a, b] * (PAULI_BASIS[a] @ rho @ PAULI_BASIS[b].conj().T)
-    return out
-
-
 def kraus_to_chi(channel: KrausChannel) -> np.ndarray:
     """Chi matrix of a qubit Kraus channel.
 
     Each operator is expanded as ``K_i = sum_a c_ia E_a`` with
     ``c_ia = Tr(E_a^dag K_i)/2``; then ``chi_ab = sum_i c_ia conj(c_ib)``.
     """
-    if channel.dim != 2:
-        raise ValueError("chi form is defined here for single-qubit channels only")
     c = np.array([[np.trace(e.conj().T @ op) / 2.0 for e in PAULI_BASIS]
                   for op in channel.operators])
     return c.T @ c.conj()
@@ -176,7 +118,7 @@ def chi_to_kraus(chi: np.ndarray, atol: float = 1e-12) -> KrausChannel:
 
 
 # the Pauli supervectors vec(E_a), one per row
-_PAULI_VECS = np.array([vectorize(e) for e in PAULI_BASIS])
+_PAULI_VECS = np.array([e.reshape(-1) for e in PAULI_BASIS])
 _PAULI_VECS.setflags(write=False)
 
 
@@ -202,8 +144,6 @@ def choi_to_chi(tau: np.ndarray) -> np.ndarray:
 
 def kraus_to_choi(channel: KrausChannel) -> np.ndarray:
     """Choi state directly from Kraus operators (channel on the first factor)."""
-    if channel.dim != 2:
-        raise ValueError("defined here for single-qubit channels only")
     omega = maximally_entangled(2)
     tau = np.zeros((4, 4), dtype=complex)
     for op in channel.operators:
@@ -252,15 +192,3 @@ def chi_from_parameters(c: np.ndarray) -> np.ndarray:
         [c[8] - 1j * c[9], c[11] - 1j * c[6], c[12] + 1j * c[4], c[3]],
     ])
     return chi
-
-
-def random_kraus_channel(rng: np.random.Generator, n_ops: int = 4) -> KrausChannel:
-    """Random CPTP qubit channel: QR completion of a Gaussian block column.
-
-    A (2*n_ops x 2) complex Gaussian matrix is orthonormalized; its 2x2 row
-    blocks then satisfy the completeness relation exactly.
-    """
-    g = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
-    q, _ = np.linalg.qr(g)
-    ops = tuple(q[2 * i:2 * i + 2, :] for i in range(n_ops))
-    return KrausChannel(ops)

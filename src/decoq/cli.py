@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dqd as dqd_mod
 from . import noise
-from .channels import chi_to_choi, chi_to_kraus, kraus_to_chi, verify_cptp
+from .channels import chi_to_choi, chi_to_kraus, verify_cptp
 from .codes import CODE_NAMES, code_by_name
 from .decoherence import (is_diagonal, measure_auto, measure_by_definition,
                           measure_diagonal, measure_general)
@@ -65,22 +65,27 @@ def _chi_entry(v: float) -> str:
 def cmd_channel(args) -> int:
     kind = args.channel
     native = args.p
+    fam = noise.family(kind)
     # far outside the physical range the chi matrix or its spectrum leaves
     # floating point, and the report is refused before anything is printed
     try:
         with np.errstate(over="raise", invalid="raise"):
-            chi = noise.chi_formula(kind, native)
+            chi = fam.chi(native)
             report = verify_cptp(chi)
             eigs = np.linalg.eigvalsh(chi_to_choi(chi))
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
         raise ValueError(f"--p {native!r} is too large in magnitude for the "
                          f"{kind} chi matrix") from None
 
+    # the range build_channel accepts; verify_cptp forgives an eigenvalue
+    # down to EIG_FLOOR, so it passes values just outside
+    physical = 0.0 <= native <= fam.native_top
     print(f"channel: {kind}  native parameter: {native!r}")
-    if report.completely_positive:
-        spec = noise.make_spec(kind, native=native)
-        print(f"spec: {noise.format_spec(spec)}")
-        print(f"calibrated p: {_fmt(spec.calibrated_p)}")
+    if physical:
+        p = fam.calibrate(native)
+        spec = f"p={p!r}" if fam.prints_p else f"native={native!r}"
+        print(f"spec: kind={kind},{spec}")
+        print(f"calibrated p: {_fmt(p)}")
     print("chi matrix (real part):")
     for row in chi.real:
         print("  " + "  ".join(_chi_entry(v) for v in row))
@@ -93,7 +98,7 @@ def cmd_channel(args) -> int:
     tp = "ok" if report.trace_preserving else "VIOLATED"
     print(f"cptp: complete positivity {cp} (min eigenvalue "
           f"{_fmt(report.min_eigenvalue)}), trace preservation {tp}")
-    if not report.completely_positive:
+    if not physical:
         print("measure: skipped (not a physical channel at this parameter)")
         return EXIT_OK
 

@@ -28,8 +28,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .sim import (Circuit, Gate, apply_gate, block_unitary, cnot, cz,
-                  fuse_gates, hadamard, pauli_gate, shift_gates, toffoli)
+from .sim import (Circuit, Gate, apply_gate, cnot, cz, fuse_gates, hadamard,
+                  pauli_gate, shift_gates, toffoli)
 
 RECOVERY_ORTHO_ATOL = 1e-10
 
@@ -107,7 +107,7 @@ def build_recovery(encoder: Circuit, corrects) -> Gate:
         for j, idx in enumerate(free):
             dst_rest[idx, j] = 1.0
         r = r + dst_rest @ src_rest.conj().T
-    return block_unitary("R", tuple(range(n)), r)
+    return Gate("R", tuple(range(n)), r)
 
 
 def bit_flip_code() -> QecCode:

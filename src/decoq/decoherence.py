@@ -178,8 +178,6 @@ def measure_by_definition(channel: KrausChannel, grid_density: int = 10_000) -> 
     eigenvalue h and determinant det it is |h| + sqrt(h^2 - det)).  Accurate
     to the grid resolution only.
     """
-    if channel.dim != 2:
-        raise ValueError("defined for single-qubit channels")
     if grid_density < 8:
         raise ValueError("grid_density must be at least 8")
     pts = fibonacci_sphere(grid_density)

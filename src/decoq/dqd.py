@@ -72,8 +72,9 @@ _JSON_KEYS = ("xi_eV", "s_m_per_s", "rho_g_per_cm3", "L_nm", "a_nm", "k_per_m")
 def load_params(path) -> DqdParams:
     """Read DqdParams from a JSON file with unit-suffixed keys.
 
-    Recognized keys: xi_eV, s_m_per_s, rho_g_per_cm3, L_nm, a_nm, k_per_m;
-    missing keys fall back to the defaults, unknown keys are rejected.
+    Recognized keys: xi_eV, s_m_per_s, rho_g_per_cm3, L_nm, a_nm, k_per_m,
+    each holding a JSON number; missing keys fall back to the defaults,
+    unknown keys are rejected.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -82,12 +83,16 @@ def load_params(path) -> DqdParams:
     unknown = set(raw) - set(_JSON_KEYS)
     if unknown:
         raise ValueError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
-    return params_from_units(**{k: _json_float(v) for k, v in raw.items()})
+    return params_from_units(**{k: _json_float(k, v)
+                                for k, v in raw.items()})
 
 
-def _json_float(value) -> float:
-    """A JSON value as a float; an integer beyond float range becomes an
-    infinity of its sign, which DqdParams then refuses by field name."""
+def _json_float(key: str, value) -> float:
+    """A JSON number as a float; an integer beyond float range becomes an
+    infinity of its sign, which DqdParams then refuses by field name.  Any
+    other JSON value (true, a string, null, ...) is refused here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -243,10 +248,3 @@ def decoherence_pair(p1: float, p2: float):
     """(D0, D) at the error probabilities (p1, p2): the larger bare measure
     and the larger of the two 5-qubit-corrected closed-form polynomials."""
     return max(p1, p2), max(amp_poly(p1), phase_poly(p2))
-
-
-def dqd_decoherence(params: DqdParams, t: float, n_ops: int = 1):
-    """(D0, D): uncorrected and 5-qubit-corrected decoherence at cycle time t,
-    from the scaled (and possibly clamped) error probabilities."""
-    p1, p2, _ = dqd_error_probs(params, t, n_ops)
-    return decoherence_pair(p1, p2)

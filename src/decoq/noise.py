@@ -39,7 +39,9 @@ class Family:
     Calibrated p lies in [0, cap) when the cap is open (the damping families
     reach it only at infinite damping); a closed cap belongs to a family
     whose calibration is the identity, and there p lies in [0, native_top],
-    the cap up to rounding."""
+    the cap up to rounding.  ``chi`` evaluates the closed form without Kraus
+    operators, so it stays defined outside the native range (where the
+    matrix stops being PSD) for ``decoq channel`` to report."""
     kraus: Callable[[float], tuple]      # native -> Kraus operators
     chi: Callable[[float], np.ndarray]   # native -> closed-form chi matrix
     calibrate: Callable[[float], float]  # native -> p = D0(native)
@@ -50,7 +52,7 @@ class Family:
     cap_open: bool
     p_msg: str
     frame: str = "computational"
-    prints_p: bool = True                # format_spec prints p= (not native=)
+    prints_p: bool = True                # decoq channel prints p= (not native=)
 
 
 def _diag(*weights) -> np.ndarray:
@@ -147,21 +149,6 @@ def family(kind: str) -> Family:
         raise UnknownKindError(f"unknown channel kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """A channel family plus its native parameter and calibrated probability;
-    ``frame`` is the family's frame label (see the module docstring)."""
-    kind: str
-    native_param: float
-    calibrated_p: float
-    frame: str = "computational"
-
-
-def calibrated_probability(kind: str, native: float) -> float:
-    """The decoherence measure of the bare channel, as a function of native."""
-    return family(kind).calibrate(native)
-
-
 def native_from_calibrated(kind: str, p: float) -> float:
     """Invert the calibration map; raises if p is outside the invertible range."""
     fam = family(kind)
@@ -182,34 +169,3 @@ def build_channel(kind: str, native: float) -> KrausChannel:
 def from_calibrated_p(kind: str, p: float) -> KrausChannel:
     """Construct the channel whose single-qubit decoherence measure equals p."""
     return build_channel(kind, native_from_calibrated(kind, p))
-
-
-def make_spec(kind: str, *, native: float | None = None,
-              p: float | None = None) -> NoiseSpec:
-    """Build a NoiseSpec from either the native parameter or calibrated p."""
-    if (native is None) == (p is None):
-        raise ValueError("give exactly one of native= or p=")
-    fam = family(kind)
-    if native is None:
-        native = native_from_calibrated(kind, p)
-    else:
-        build_channel(kind, native)   # range check
-    return NoiseSpec(kind, float(native), fam.calibrate(native), fam.frame)
-
-
-def chi_formula(kind: str, native: float) -> np.ndarray:
-    """Closed-form chi matrix of the family at the given native parameter.
-
-    Evaluates the algebraic formula without constructing Kraus operators, so
-    it remains defined outside the completely positive range (where the
-    returned matrix simply stops being PSD) — useful for reporting where a
-    parameter leaves the physical region.
-    """
-    return family(kind).chi(native)
-
-
-def format_spec(spec: NoiseSpec) -> str:
-    """Serialize to the CLI text form, e.g. ``kind=bit_flip,p=0.1``."""
-    if family(spec.kind).prints_p:
-        return f"kind={spec.kind},p={spec.calibrated_p!r}"
-    return f"kind={spec.kind},native={spec.native_param!r}"

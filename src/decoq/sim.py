@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (PAULI_BASIS, PAULI_LABELS, KrausChannel,
-                       maximally_entangled)
+from .channels import PAULI_BASIS, PAULI_LABELS, KrausChannel
 
 MAX_WIRES = 11
 UNITARY_ATOL = 1e-12
@@ -133,11 +132,6 @@ def cz(control: int, target: int) -> Gate:
 
 def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return controlled_pauli("X", (control_a, control_b), target)
-
-
-def block_unitary(name: str, wires, matrix: np.ndarray) -> Gate:
-    """A dense unitary block over several wires (used for synthesized recovery)."""
-    return Gate(name, tuple(wires), matrix)
 
 
 @dataclass(frozen=True)
@@ -256,8 +250,6 @@ def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wire: int, *,
     (``channel.superop``), which acts on the wire's row and column axes in
     one contraction.
     """
-    if channel.dim != 2:
-        raise ValueError("per-wire noise must be a single-qubit channel")
     m = _wire_count_of(rho)
     _check_wires((wire,), m)
     out = _out_buffer(rho, out)
@@ -367,9 +359,3 @@ def simulate_choi(code, noise) -> np.ndarray:
     for gate in code.decode_gates:
         apply_gate(rho, gate, out=rho)
     return partial_trace(rho, keep=(1, 0))
-
-
-def bell_choi_reference() -> np.ndarray:
-    """The ideal output |Omega><Omega| a perfect correction run returns."""
-    psi = maximally_entangled(2)
-    return np.outer(psi, psi.conj())

@@ -46,7 +46,6 @@ class SweepResult:
     code: str
     channel: str
     samples: tuple                 # ((p, D), ...) sorted by p
-    fitted: PolyCoeffs | None = None
 
 
 # registers (code.n + 1 wires) of at least this many wires measure their

@@ -14,10 +14,10 @@ from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
 from decoq.codes import code_by_name
 from decoq.decoherence import (measure_auto, measure_by_definition,
                                measure_quadratic)
-from decoq.dqd import (default_params, dqd_decoherence, relaxation_rate,
-                       spectral_function)
-from decoq.noise import build_channel, calibrated_probability
-from decoq.sim import bell_choi_reference, simulate_choi
+from decoq.dqd import (decoherence_pair, default_params, dqd_error_probs,
+                       relaxation_rate, spectral_function)
+from decoq.noise import build_channel, family
+from decoq.sim import simulate_choi
 from decoq.sweep import break_even, fit_poly, sweep
 
 import util
@@ -94,7 +94,7 @@ def test_criterion_06_calibration_anchors():
              ("amplitude_damping", 1.3), ("phase_damping", 0.8)]
     for kind, native in cases:
         d0 = measure_auto(kraus_to_chi(build_channel(kind, native)))
-        worst = max(worst, abs(d0 - calibrated_probability(kind, native)))
+        worst = max(worst, abs(d0 - family(kind).calibrate(native)))
     ok = worst <= 1e-9
     _report(6, ok, f"max |D0 - calibration formula| = {worst:.2e} "
                    f"over {len(cases)} families")
@@ -128,7 +128,7 @@ def test_criterion_08_quadratic_form_matches_brute_force():
 
 
 def test_criterion_09_all_declared_errors_restored():
-    bell = bell_choi_reference()
+    bell = util.bell_choi_reference()
     pauli = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
     worst, cases = 0.0, 0
     for name in ("bit3", "phase3", "shor5", "shor9"):
@@ -159,7 +159,7 @@ def test_criterion_10_dqd_pipeline():
     conv_ok = abs(b2 - oracle) / oracle <= 1e-12
     mono_ok = True
     for t in (1e-12, 1e-11, 1e-10):
-        d0, d = dqd_decoherence(params, t)
+        d0, d = decoherence_pair(*dqd_error_probs(params, t)[:2])
         mono_ok = mono_ok and 0.0 < d < d0
     elapsed = time.perf_counter() - t0
     ok = (zero_ok and gamma_ok and b2_ok and conv_ok and mono_ok

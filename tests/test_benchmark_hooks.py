@@ -22,10 +22,10 @@ importlib.import_module("decoq.cli")
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
-from decoq.noise import chi_formula
+from decoq.noise import family
 sweep_module = sys.modules["decoq.sweep"]    # decoq.sweep is the function
 for kind, native in (("bit_flip", 0.1), ("amplitude_damping", 1.0)):
-    sweep_module.measure_auto(chi_formula(kind, native))
+    sweep_module.measure_auto(family(kind).chi(native))
 print(json.dumps(tracer.totals()))
 """
 

@@ -2,15 +2,15 @@
 import numpy as np
 import pytest
 
-from decoq.channels import (PAULI_BASIS, PAULI_X, KrausChannel, apply_channel,
-                            apply_chi, bloch_density, chi_from_parameters,
-                            chi_to_choi, chi_to_kraus, choi_to_chi,
-                            devectorize, kraus_to_chi, kraus_to_choi,
-                            maximally_entangled, random_density,
-                            random_kraus_channel, vectorize, verify_cptp)
-from decoq.noise import chi_formula
+from decoq.channels import (PAULI_BASIS, PAULI_X, KrausChannel,
+                            chi_from_parameters, chi_to_choi, chi_to_kraus,
+                            choi_to_chi, kraus_to_chi, kraus_to_choi,
+                            maximally_entangled, verify_cptp)
+from decoq.noise import family
 
 import util
+from util import (apply_channel, apply_chi, bloch_density, devectorize,
+                  random_density, random_kraus_channel, vectorize)
 
 
 def test_pauli_basis_orthogonality():
@@ -85,7 +85,7 @@ def test_verify_cptp_verdicts():
     for _ in range(10):
         rep = verify_cptp(kraus_to_chi(random_kraus_channel(rng)))
         assert rep.trace_preserving and rep.completely_positive
-    bad = verify_cptp(chi_formula("bit_flip", 1.001))
+    bad = verify_cptp(family("bit_flip").chi(1.001))
     assert bad.trace_preserving
     assert not bad.completely_positive
     assert bad.min_eigenvalue < -1e-4
@@ -139,13 +139,16 @@ def test_kraus_completeness_enforced():
         KrausChannel((0.5 * PAULI_BASIS[0],))
     with pytest.raises(ValueError):
         KrausChannel(())
-    with pytest.raises(ValueError):
-        KrausChannel((np.eye(2), np.eye(3)))
+    # channels act on one qubit: any operator that is not 2x2 is refused
+    for ops in ((np.eye(2), np.eye(3)), (np.eye(4),), (np.eye(1),),
+                (np.ones(2),)):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            KrausChannel(ops)
 
 
 def test_chi_to_kraus_rejects_non_psd():
     with pytest.raises(ValueError):
-        chi_to_kraus(chi_formula("bit_flip", 1.1))
+        chi_to_kraus(family("bit_flip").chi(1.1))
 
 
 def test_superop_is_the_kraus_sum_built_once():

@@ -14,10 +14,17 @@ from decoq.noise import FAMILIES
 def test_channel_report(capsys):
     assert main(["channel", "--channel", "bit_flip", "--p", "0.25"]) == 0
     out = capsys.readouterr().out
-    assert "calibrated p: 2.50000000000e-01" in out
+    assert "\nspec: kind=bit_flip,p=0.25\n" in out
+    assert "\ncalibrated p: 2.50000000000e-01\n" in out
     assert "D (diagonal rule)" in out
     assert "D (dispatch)" in out
     assert "complete positivity ok" in out
+    # the damping families name their native parameter on the spec line
+    assert main(["channel", "--channel", "amplitude_damping",
+                 "--p", "0.7"]) == 0
+    out = capsys.readouterr().out
+    assert ("\nspec: kind=amplitude_damping,native=0.7\n"
+            "calibrated p: 5.03414696209e-01\n") in out
 
 
 def test_channel_report_with_complex_chi(capsys):
@@ -33,6 +40,19 @@ def test_channel_unphysical_parameter(capsys):
     out = capsys.readouterr().out
     assert "VIOLATED" in out
     assert "measure: skipped" in out
+    # just outside the range, where the CPTP check forgives the eigenvalue:
+    # the whole report, without the spec, calibration and measure lines
+    for kind, value in (("bit_flip", "1.00000000005"),
+                        ("depolarizing", "0.6666666667"),
+                        ("amplitude_damping", "-1e-11"),
+                        ("phase_damping", "-1e-11")):
+        assert main(["channel", "--channel", kind, f"--p={value}"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "", (kind, value)
+        assert out.endswith("measure: skipped (not a physical channel at "
+                            "this parameter)\n"), (kind, value)
+        assert "spec:" not in out and "calibrated p:" not in out
+        assert "D (" not in out
 
 
 UNKNOWN_KIND = ("", "error: unknown channel kind 'gauss'\n")
@@ -238,6 +258,14 @@ def test_dqd_non_finite_params_are_bad_params_files(tmp_path, capsys):
             assert capsys.readouterr().err == (
                 f"error: bad params file: {field} must be finite and "
                 "strictly positive\n")
+        # JSON values that are not numbers are refused by key
+        for value in ("true", '"50"', "null"):
+            path.write_text(f'{{"{key}": {value}}}')
+            capsys.readouterr()
+            assert main(["dqd", "--params", str(path), "--steps", "1"]) == 2
+            assert capsys.readouterr() == ("", (
+                f"error: bad params file: {key} must be a number, "
+                f"got {value}\n"))
 
 
 def test_steps_above_the_cap_are_range_errors(capsys):

@@ -8,7 +8,9 @@ from decoq.codes import (CODE_NAMES, QecCode, bit_flip_code, build_recovery,
                          code_by_name, shor5_code, shor9_code)
 from decoq.decoherence import measure_auto
 from decoq.noise import build_channel
-from decoq.sim import Circuit, bell_choi_reference, simulate_choi
+from decoq.sim import Circuit, simulate_choi
+
+from util import bell_choi_reference
 
 _BELL = bell_choi_reference()
 _PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}

@@ -9,7 +9,7 @@ from decoq.decoherence import (bloch_map, fibonacci_sphere, is_diagonal,
                                measure_auto, measure_by_definition,
                                measure_diagonal, measure_general,
                                measure_quadratic)
-from decoq.noise import build_channel, chi_formula
+from decoq.noise import build_channel, family
 
 import util
 
@@ -25,11 +25,11 @@ def test_fibonacci_sphere_points():
 
 def test_measure_diagonal_known_values():
     assert abs(measure_diagonal(np.diag([0.8, 0.2, 0.0, 0.0])) - 0.2) < 1e-15
-    assert abs(measure_diagonal(chi_formula("depolarizing", 0.1)) - 0.1) < 1e-15
+    assert abs(measure_diagonal(family("depolarizing").chi(0.1)) - 0.1) < 1e-15
     # the largest pairwise sum of the three Pauli weights wins
     assert abs(measure_diagonal(np.diag([0.7, 0.2, 0.06, 0.04])) - 0.26) < 1e-15
     with pytest.raises(ValueError):
-        measure_diagonal(chi_formula("amplitude_damping", 0.5))
+        measure_diagonal(family("amplitude_damping").chi(0.5))
 
 
 def test_bloch_map_matches_transfer_matrix():
@@ -59,7 +59,7 @@ def test_is_diagonal_tolerance_scales_with_error_weight():
     assert is_diagonal(identity)
     # weak damping: off-diagonal entries as small as the error weight
     for gamma_t in (1e-13, 1e-10, 1e-6, 0.5):
-        assert not is_diagonal(chi_formula("amplitude_damping", gamma_t))
+        assert not is_diagonal(family("amplitude_damping").chi(gamma_t))
 
 
 def test_measure_auto_weak_damping():
@@ -68,7 +68,7 @@ def test_measure_auto_weak_damping():
     # chi_11 = chi_22 = Re chi_03 = q / 4 and D = q = 1 - e^{-gamma t}, up
     # to the rounding of q itself
     for gamma_t in (1e-13, 1e-11, 1e-9, 1e-6):
-        chi = chi_formula("amplitude_damping", gamma_t)
+        chi = family("amplitude_damping").chi(gamma_t)
         want = 4.0 * chi[1, 1].real
         assert abs(measure_auto(chi) - want) < 1e-12 * want
         assert abs(measure_general(chi) - want) < 1e-12 * want
@@ -83,7 +83,7 @@ def test_measure_quadratic_matches_ball_oracle():
 
 def test_quadratic_form_rejects_linear_terms():
     with pytest.raises(ValueError):
-        measure_quadratic(chi_formula("amplitude_damping", 0.7))
+        measure_quadratic(family("amplitude_damping").chi(0.7))
 
 
 def test_measure_general_matches_oracle_with_linear_terms():
@@ -138,13 +138,13 @@ def test_measure_general_unital_channels():
         chi = util.random_tp_chi(rng, zero_linear=True)
         assert abs(measure_general(chi) - util.measure_oracle(chi)) < 1e-12
     for kind in ("bit_flip", "depolarizing", "phase_damping"):
-        chi = chi_formula(kind, 0.3)
+        chi = family(kind).chi(0.3)
         assert abs(measure_general(chi) - measure_diagonal(chi)) < 1e-15
 
 
 def test_measure_general_amplitude_damping_closed_form():
     for gt in (1e-6, 0.05, 0.3, 1.0, 2.5, 40.0):
-        chi = chi_formula("amplitude_damping", gt)
+        chi = family("amplitude_damping").chi(gt)
         assert abs(measure_general(chi) - (-np.expm1(-gt))) < 1e-14
 
 
@@ -167,13 +167,13 @@ def test_measure_auto_dispatch_routes(monkeypatch):
                             lambda chi, fn=fn, name=name:
                             calls.append(name) or fn(chi))
     # diagonal chi -> diagonal shortcut
-    assert abs(measure_auto(chi_formula("bit_flip", 0.3)) - 0.3) < 1e-14
+    assert abs(measure_auto(family("bit_flip").chi(0.3)) - 0.3) < 1e-14
     # unital but non-diagonal -> sigma_max(A - I) / 2
     rng = np.random.default_rng(10)
     chi = util.random_tp_chi(rng, zero_linear=True)
     assert abs(measure_auto(chi) - measure_quadratic(chi)) < 1e-12
     # Bloch shift u != 0 -> secular equation
-    chi = chi_formula("amplitude_damping", 1.0)
+    chi = family("amplitude_damping").chi(1.0)
     assert abs(measure_auto(chi) - (1.0 - np.exp(-1.0))) < 1e-14
     assert calls == ["measure_diagonal", "measure_quadratic",
                      "measure_general"]

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from decoq.dqd import (EV, DqdParams, amp_poly, dawson, default_params,
-                       dqd_decoherence, dqd_error_probs, load_params,
+from decoq.dqd import (EV, DqdParams, amp_poly, dawson, decoherence_pair,
+                       default_params, dqd_error_probs, load_params,
                        params_from_units, phase_poly, relaxation_rate,
                        spectral_function)
 
@@ -174,7 +174,10 @@ def test_n_ops_beyond_a_float_is_refused():
 def test_polynomials_and_decoherence():
     assert abs(amp_poly(0.1) - 0.0169375) < 1e-15
     assert abs(phase_poly(0.1) - 0.081) < 1e-15
-    assert dqd_decoherence(default_params(), 0.0) == (0.0, 0.0)
+    def pair(t):
+        return decoherence_pair(*dqd_error_probs(default_params(), t)[:2])
+
+    assert pair(0.0) == (0.0, 0.0)
     for t in (1e-12, 1e-11, 1e-10):
-        d0, d = dqd_decoherence(default_params(), t)
+        d0, d = pair(t)
         assert 0.0 < d < d0 < 0.2

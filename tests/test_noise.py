@@ -1,4 +1,4 @@
-"""Noise families: closed-form process matrices, calibration, spec round trips."""
+"""Noise families: closed-form process matrices, calibration, ranges."""
 import math
 
 import numpy as np
@@ -7,8 +7,7 @@ import pytest
 from decoq.channels import kraus_to_chi, kraus_to_choi, verify_cptp
 from decoq.decoherence import measure_auto
 from decoq.noise import (CHANNEL_KINDS, FAMILIES, UnknownKindError,
-                         build_channel, calibrated_probability, chi_formula,
-                         family, format_spec, from_calibrated_p, make_spec,
+                         build_channel, family, from_calibrated_p,
                          native_from_calibrated)
 from decoq.sweep import sweep
 
@@ -44,13 +43,13 @@ def _valid_ps(kind, rng, n=20):
 
 
 def test_chi_known_values():
-    chi = chi_formula("bit_flip", 0.25)
+    chi = family("bit_flip").chi(0.25)
     assert np.abs(chi - np.diag([0.75, 0.25, 0.0, 0.0])).max() < 1e-15
-    chi = chi_formula("depolarizing", 2.0 / 3.0)
+    chi = family("depolarizing").chi(2.0 / 3.0)
     assert np.abs(chi - np.diag([0.0, 1 / 3, 1 / 3, 1 / 3])).max() < 1e-15
-    chi = chi_formula("phase_damping", math.log(2.0))
+    chi = family("phase_damping").chi(math.log(2.0))
     assert np.abs(chi - np.diag([0.75, 0.0, 0.0, 0.25])).max() < 1e-15
-    chi = chi_formula("amplitude_damping", 50.0)   # fully decayed
+    chi = family("amplitude_damping").chi(50.0)   # fully decayed
     assert abs(chi[0, 3] - 0.25) < 1e-10
     assert abs(chi[3, 3] - 0.25) < 1e-10
 
@@ -59,7 +58,7 @@ def test_zero_strength_is_the_identity_channel():
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
     for kind in CHANNEL_KINDS:
-        assert np.abs(chi_formula(kind, 0.0) - want).max() < 1e-15
+        assert np.abs(family(kind).chi(0.0) - want).max() < 1e-15
 
 
 def test_kraus_operators_match_chi_formula():
@@ -69,7 +68,7 @@ def test_kraus_operators_match_chi_formula():
     for kind in CHANNEL_KINDS:
         for nat in [fixed[kind], *_valid_natives(kind, rng)]:
             chi = kraus_to_chi(build_channel(kind, nat))
-            assert np.abs(chi - chi_formula(kind, nat)).max() < 1e-12, (
+            assert np.abs(chi - family(kind).chi(nat)).max() < 1e-12, (
                 kind, nat)
 
 
@@ -92,7 +91,7 @@ def test_calibration_equals_the_bare_measure():
     for kind in CHANNEL_KINDS:
         for nat in [fixed[kind], *_valid_natives(kind, rng)]:
             d0 = measure_auto(kraus_to_chi(build_channel(kind, nat)))
-            assert abs(d0 - calibrated_probability(kind, nat)) < 1e-9, (
+            assert abs(d0 - family(kind).calibrate(nat)) < 1e-9, (
                 kind, nat)
 
 
@@ -124,9 +123,6 @@ def test_caps_and_ranges_refuse_with_their_messages():
             with pytest.raises(ValueError) as exc:
                 build_channel(kind, bad)
             assert str(exc.value) == native_msg, (kind, bad)
-            with pytest.raises(ValueError) as exc:
-                make_spec(kind, native=bad)
-            assert str(exc.value) == native_msg, (kind, bad)
 
 
 def test_weak_damping_keeps_its_relative_precision():
@@ -137,15 +133,15 @@ def test_weak_damping_keeps_its_relative_precision():
     natives = np.concatenate([[1e-12, 1e-4], 10.0 ** rng.uniform(-12, -4, 30)])
     for x in natives:
         for kind in ("amplitude_damping", "phase_damping"):
-            want = calibrated_probability(kind, x)
-            got = measure_auto(chi_formula(kind, x))
+            want = family(kind).calibrate(x)
+            got = measure_auto(family(kind).chi(x))
             assert abs(got - want) <= 1e-14 * want, (kind, x, got)
-        want = calibrated_probability("phase_damping", x)
+        want = family("phase_damping").calibrate(x)
         got = measure_auto(kraus_to_chi(build_channel("phase_damping", x)))
         assert abs(got - want) <= 1e-14 * want, ("phase_damping", x, got)
         # amplitude damping's K0 = diag(1, e^(-x/2)) holds 1 - e^(-x/2) only to
         # 1e-16 absolute, so its Kraus route is checked on the decay weight
-        want = calibrated_probability("amplitude_damping", x)
+        want = family("amplitude_damping").calibrate(x)
         decay = build_channel("amplitude_damping", x).operators[1][0, 1]
         assert abs(abs(decay) ** 2 - want) <= 1e-14 * want, x
 
@@ -159,7 +155,7 @@ def test_inverse_calibration():
     for kind in CHANNEL_KINDS:
         for p in (0.05, 0.3, *_valid_ps(kind, rng)):
             nat = native_from_calibrated(kind, p)
-            assert abs(calibrated_probability(kind, nat) - p) <= 1e-15 * p, (
+            assert abs(family(kind).calibrate(nat) - p) <= 1e-15 * p, (
                 kind, p)
             chi = kraus_to_chi(from_calibrated_p(kind, p))
             assert abs(measure_auto(chi) - p) < 1e-9, (kind, p)
@@ -187,12 +183,9 @@ def test_native_parameter_range_checks():
 
 def test_unknown_kind_is_one_error():
     calls = (lambda: family("gauss"),
-             lambda: calibrated_probability("gauss", 0.1),
              lambda: native_from_calibrated("gauss", 0.1),
              lambda: build_channel("gauss", 0.1),
              lambda: from_calibrated_p("gauss", 0.1),
-             lambda: chi_formula("gauss", 0.1),
-             lambda: make_spec("gauss", p=0.1),
              lambda: sweep("none", "gauss", (0.1,)))
     for call in calls:
         # a ValueError, whose subclass the CLI maps to exit 2
@@ -208,27 +201,3 @@ def test_amplitude_damping_choi_eigenvalues_frozen():
     assert np.abs(eigs[:2]).max() < 1e-12
     assert abs(eigs[2] - 0.31606027941427883) < 1e-12
     assert abs(eigs[3] - 0.6839397205857212) < 1e-12
-
-
-def test_spec_round_trips():
-    spec = make_spec("bit_flip", p=0.1)
-    assert spec.native_param == 0.1
-    assert spec.frame == "computational"
-    assert format_spec(spec) == "kind=bit_flip,p=0.1"
-
-    spec = make_spec("amplitude_damping", native=0.7)
-    assert spec.frame == "plus_minus"
-    assert format_spec(spec) == "kind=amplitude_damping,native=0.7"
-    spec2 = make_spec("amplitude_damping", p=spec.calibrated_p)
-    assert abs(spec2.native_param - 0.7) < 1e-12
-    ch = build_channel(spec.kind, spec.native_param)
-    assert abs(ch.operators[0][1, 1] - math.exp(-0.35)) < 1e-12
-
-
-def test_spec_errors():
-    with pytest.raises(ValueError):
-        make_spec("bit_flip")
-    with pytest.raises(ValueError):
-        make_spec("bit_flip", p=0.1, native=0.1)
-    with pytest.raises(ValueError):
-        make_spec("gauss", p=0.1)

@@ -7,18 +7,17 @@ import pytest
 
 from decoq import sim
 from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
-                            kraus_to_choi, maximally_entangled,
-                            random_density, random_kraus_channel)
+                            kraus_to_choi, maximally_entangled)
 from decoq.cli import _FIT_POLICY
 from decoq.codes import CODE_NAMES, QecCode, code_by_name, trivial_code
 from decoq.noise import CHANNEL_KINDS, build_channel, from_calibrated_p
 from decoq.sim import (MAX_WIRES, Circuit, Gate, apply_channel_wire,
-                       apply_gate, bell_choi_reference, block_unitary,
-                       circuit_unitary, cnot, cz, fuse_gates, hadamard,
-                       partial_trace, pauli_gate, shift_gates, simulate_choi,
-                       toffoli)
+                       apply_gate, circuit_unitary, cnot, cz, fuse_gates,
+                       hadamard, partial_trace, pauli_gate, shift_gates,
+                       simulate_choi, toffoli)
 
-from util import (embed_operator, kraus_sum_on_wire, reference_choi,
+from util import (bell_choi_reference, embed_operator, kraus_sum_on_wire,
+                  random_density, random_kraus_channel, reference_choi,
                   tensordot_apply_channel_wire, tensordot_apply_gate,
                   tensordot_simulate_choi)
 
@@ -84,7 +83,7 @@ def test_gate_validation():
 
 def test_block_unitary_multi_wire():
     swap = np.eye(4)[:, [0, 2, 1, 3]]
-    u = circuit_unitary(Circuit(2, (block_unitary("SWAP", (0, 1), swap),)))
+    u = circuit_unitary(Circuit(2, (Gate("SWAP", (0, 1), swap),)))
     u2 = circuit_unitary(Circuit(2, (cnot(0, 1), cnot(1, 0), cnot(0, 1))))
     assert np.abs(u - u2).max() < 1e-12
 
@@ -148,7 +147,7 @@ def test_apply_gate_on_a_vector_matches_the_density_matrix():
         q, _ = np.linalg.qr(rng.normal(size=(4, 4))
                             + 1j * rng.normal(size=(4, 4)))
         wires = tuple(int(w) for w in rng.choice(4, size=2, replace=False))
-        for gate in (block_unitary("U", wires, q), toffoli(3, 0, 1)):
+        for gate in (Gate("U", wires, q), toffoli(3, 0, 1)):
             out = apply_gate(psi, gate)
             assert out.shape == psi.shape
             want = apply_gate(np.outer(psi, psi.conj()), gate)
@@ -199,10 +198,10 @@ def _check_contractions(rng):
         g = rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
         return np.linalg.qr(g)[0]
 
-    gates = (hadamard(2), block_unitary("U", (3,), unitary(1)), cz(3, 1),
-             block_unitary("U", (2, 0), unitary(2)),
-             block_unitary("U", (3, 0, 2), unitary(3)),
-             block_unitary("U", (1, 3, 0, 2), unitary(4)),
+    gates = (hadamard(2), Gate("U", (3,), unitary(1)), cz(3, 1),
+             Gate("U", (2, 0), unitary(2)),
+             Gate("U", (3, 0, 2), unitary(3)),
+             Gate("U", (1, 3, 0, 2), unitary(4)),
              toffoli(2, 0, 1))
     for gate in gates:
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -275,7 +274,7 @@ def test_circuit_unitary_applies_gates_in_order():
 
 def test_permutation_gates_are_gathers_equal_to_the_contraction():
     rng = np.random.default_rng(21)
-    block = block_unitary("P", (3, 0, 2), np.eye(8)[rng.permutation(8)])
+    block = Gate("P", (3, 0, 2), np.eye(8)[rng.permutation(8)])
     gates = (pauli_gate("X", 2), cnot(0, 3), cnot(3, 0), toffoli(0, 1, 2),
              toffoli(2, 3, 1), toffoli(3, 1, 0), block)
     assert pauli_gate("Z", 0).src is None and hadamard(0).src is None
@@ -294,7 +293,7 @@ def test_fuse_gates_keeps_the_circuit():
     rng = np.random.default_rng(22)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     gates = (cnot(0, 2), toffoli(2, 0, 3), pauli_gate("X", 1), hadamard(3),
-             block_unitary("U", (1, 0), q), cz(3, 2), cnot(3, 1))
+             Gate("U", (1, 0), q), cz(3, 2), cnot(3, 1))
     fused = fuse_gates(gates)
     assert [g.wires for g in fused] == [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3)]
     assert [g.src is not None for g in fused] == [True, False, True]

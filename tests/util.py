@@ -1,6 +1,15 @@
-"""Independent oracles shared across tests.
+"""Independent oracles and state helpers shared across tests.
 
-These deliberately avoid the library's own measure implementations:
+The helpers build test inputs and apply a channel the textbook way:
+
+* ``bloch_density`` and ``random_density`` make qubit and register states,
+  ``random_kraus_channel`` a random CPTP qubit channel,
+* ``vectorize`` and ``devectorize`` are the row-major supervector maps,
+* ``apply_channel`` and ``apply_chi`` apply a channel in its Kraus and chi
+  forms, and ``bell_choi_reference`` is the Choi state a perfect correction
+  round returns.
+
+The oracles deliberately avoid the library's own measure implementations:
 
 * ``bloch_transfer`` reads the affine Bloch action (A, u) of a channel off
   its chi matrix by applying it to basis operators,
@@ -25,10 +34,83 @@ import math
 
 import numpy as np
 
-from decoq.channels import PAULI_BASIS, apply_chi, chi_from_parameters
+from decoq.channels import (PAULI_BASIS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
+                            KrausChannel, chi_from_parameters,
+                            maximally_entangled)
 from decoq.sim import partial_trace
 
 SIGMA = PAULI_BASIS[1:]
+
+
+def bloch_density(px, py, pz):
+    """Density matrix (I + p.sigma)/2 for a Bloch vector with |p| <= 1."""
+    p = np.array([px, py, pz], dtype=float)
+    if p @ p > 1.0 + 1e-9:
+        raise ValueError("Bloch vector lies outside the unit ball")
+    return (PAULI_I + px * PAULI_X + py * PAULI_Y + pz * PAULI_Z) / 2.0
+
+
+def random_density(dim, rng):
+    """Random full-rank density matrix (normalized Wishart)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_kraus_channel(rng, n_ops=4):
+    """Random CPTP qubit channel: QR completion of a Gaussian block column.
+
+    A (2*n_ops x 2) complex Gaussian matrix is orthonormalized; its 2x2 row
+    blocks then satisfy the completeness relation exactly.
+    """
+    g = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(tuple(q[2 * i:2 * i + 2, :] for i in range(n_ops)))
+
+
+def vectorize(a):
+    """Row-major supervector of a matrix: [A11, ..., A1d, A21, ..., Add]."""
+    return np.asarray(a).reshape(-1)
+
+
+def devectorize(v):
+    v = np.asarray(v)
+    d = int(round(np.sqrt(v.size)))
+    if d * d != v.size:
+        raise ValueError("supervector length is not a perfect square")
+    return v.reshape(d, d)
+
+
+def apply_channel(channel, rho):
+    """Apply a Kraus channel to a qubit density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError("state dimension does not match the channel")
+    out = np.zeros_like(rho)
+    for op in channel.operators:
+        out += op @ rho @ op.conj().T
+    return out
+
+
+def apply_chi(chi, rho):
+    """Apply a qubit channel given as a chi matrix in the Pauli basis."""
+    chi = np.asarray(chi)
+    if chi.shape != (4, 4):
+        raise ValueError("chi matrix must be 4x4")
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros((2, 2), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            if chi[a, b] != 0:
+                out += chi[a, b] * (PAULI_BASIS[a] @ rho
+                                    @ PAULI_BASIS[b].conj().T)
+    return out
+
+
+def bell_choi_reference():
+    """The ideal output |Omega><Omega| a perfect correction run returns."""
+    psi = maximally_entangled(2)
+    return np.outer(psi, psi.conj())
 
 
 def bloch_transfer(chi):
