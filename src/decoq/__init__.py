@@ -14,8 +14,8 @@ from .dqd import (DqdParams, amp_poly, decoherence_pair, default_params,
                   relaxation_rate, spectral_function)
 from .noise import (CHANNEL_KINDS, FAMILIES, build_channel, family,
                     from_calibrated_p, native_from_calibrated)
-from .sim import (Circuit, Gate, apply_gate, cnot, controlled_pauli, cz,
-                  hadamard, partial_trace, pauli_gate, simulate_choi, toffoli)
+from .sim import (Gate, apply_gate, cnot, controlled_pauli, cz, hadamard,
+                  partial_trace, pauli_gate, simulate_choi, toffoli)
 from .sweep import (BreakEven, PolyCoeffs, SweepResult, break_even, fit_poly,
                     sweep)
 

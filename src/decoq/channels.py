@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-ATOL = 1e-12          # algebraic identities (hermiticity, completeness, round trips)
+TP_ATOL = 1e-10       # trace preservation: Kraus completeness and verify_cptp
+KRAUS_ATOL = 1e-12    # chi eigenvalues within this of zero give no Kraus operator
 EIG_FLOOR = -1e-10    # how negative an eigenvalue may be before CP is declared broken
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=complex)
@@ -55,7 +56,7 @@ class KrausChannel:
                                  "on one qubit")
             op.setflags(write=False)
         comp = sum(op.conj().T @ op for op in ops)
-        if np.abs(comp - np.eye(2)).max() > 1e-10:
+        if np.abs(comp - np.eye(2)).max() > TP_ATOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
         object.__setattr__(self, "operators", ops)
 
@@ -97,20 +98,20 @@ def kraus_to_chi(channel: KrausChannel) -> np.ndarray:
     return c.T @ c.conj()
 
 
-def chi_to_kraus(chi: np.ndarray, atol: float = 1e-12) -> KrausChannel:
+def chi_to_kraus(chi: np.ndarray) -> KrausChannel:
     """Extract a Kraus set from a chi matrix by eigendecomposition.
 
-    Eigenvalues below -atol raise; tiny negatives within atol are clipped.
+    Eigenvalues below -KRAUS_ATOL raise; those up to KRAUS_ATOL are dropped.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError("chi matrix must be 4x4")
     w, v = np.linalg.eigh((chi + chi.conj().T) / 2.0)
-    if w.min() < -atol:
+    if w.min() < -KRAUS_ATOL:
         raise ValueError("chi matrix is not positive semidefinite")
     ops = []
     for k in range(4):
-        if w[k] <= atol:
+        if w[k] <= KRAUS_ATOL:
             continue
         op = sum(v[a, k] * PAULI_BASIS[a] for a in range(4))
         ops.append(np.sqrt(w[k]) * op)
@@ -152,7 +153,7 @@ def kraus_to_choi(channel: KrausChannel) -> np.ndarray:
     return tau
 
 
-def verify_cptp(chi: np.ndarray, atol_tp: float = 1e-10) -> CptpReport:
+def verify_cptp(chi: np.ndarray) -> CptpReport:
     """Check trace preservation and complete positivity of a chi matrix.
 
     Trace preservation is tested directly on the operator identity
@@ -163,7 +164,7 @@ def verify_cptp(chi: np.ndarray, atol_tp: float = 1e-10) -> CptpReport:
     for a in range(4):
         for b in range(4):
             acc += chi[a, b] * (PAULI_BASIS[b].conj().T @ PAULI_BASIS[a])
-    tp = bool(np.abs(acc - np.eye(2)).max() <= atol_tp)
+    tp = bool(np.abs(acc - np.eye(2)).max() <= TP_ATOL)
     w = np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)
     return CptpReport(trace_preserving=tp,
                       completely_positive=bool(w.min() >= EIG_FLOOR),

@@ -13,7 +13,7 @@ CSV files use 12-significant-digit scientific notation, a header row, and LF
 line endings; identical configurations produce byte-identical files.  Exit
 codes: 0 success, 2 configuration error, 3 range/validation error (including
 nan or infinite values of any float flag, a --steps above MAX_STEPS, and a
-``channel --p`` whose chi matrix or spectrum overflows floating point).
+``channel --p`` or ``dqd --params`` that takes floating point out of range).
 ``dqd`` evaluates B^2(t) in closed form, so any finite --tmax is accepted.
 """
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import dqd as dqd_mod
 from . import noise
 from .channels import chi_to_choi, chi_to_kraus, verify_cptp
-from .codes import CODE_NAMES, code_by_name
+from .codes import CODE_NAMES, UnknownCodeError, code_by_name
 from .decoherence import (is_diagonal, measure_auto, measure_by_definition,
                           measure_diagonal, measure_general)
 from .sweep import ThreadCapError, break_even, fit_poly, sweep
@@ -83,7 +83,8 @@ def cmd_channel(args) -> int:
     print(f"channel: {kind}  native parameter: {native!r}")
     if physical:
         p = fam.calibrate(native)
-        spec = f"p={p!r}" if fam.prints_p else f"native={native!r}"
+        # a closed cap belongs to a family whose calibration is the identity
+        spec = f"native={native!r}" if fam.cap_open else f"p={p!r}"
         print(f"spec: kind={kind},{spec}")
         print(f"calibrated p: {_fmt(p)}")
     print("chi matrix (real part):")
@@ -134,11 +135,8 @@ def _p_grid(args) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    if args.code not in CODE_NAMES:
-        print(f"error: unknown code {args.code!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    ps = _p_grid(args)
     code = code_by_name(args.code)
+    ps = _p_grid(args)
     result = sweep(args.code, args.channel, ps, code=code)
     rows = ["p,D0,D_corrected"]
     trivial = code_by_name("none")
@@ -171,11 +169,9 @@ _FIT_POLICY = {
 
 
 def cmd_fit(args) -> int:
-    if args.code not in _FIT_POLICY:
-        print(f"error: unknown code {args.code!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    code = code_by_name(args.code)
     policy = _FIT_POLICY[args.code]
-    result = sweep(args.code, args.channel, policy["points"])
+    result = sweep(args.code, args.channel, policy["points"], code=code)
     poly = fit_poly(result.samples, policy["degree"])
     print(f"code={args.code} channel={args.channel}")
     for i, a in enumerate(poly.coefficients, start=1):
@@ -205,7 +201,11 @@ def cmd_dqd(args) -> int:
     rows = ["t_s,p1,p2,D0,D,clamped"]
     pts_d0, pts_d = [], []
     for t in ts:
-        p1, p2, clamped = dqd_mod.dqd_error_probs(params, t, args.n_ops)
+        try:
+            p1, p2, clamped = dqd_mod.dqd_error_probs(params, t, args.n_ops)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError("the device parameters leave floating-point "
+                             "range") from None
         d0, d = dqd_mod.decoherence_pair(p1, p2)
         rows.append(f"{_fmt(t)},{_fmt(p1)},{_fmt(p2)},{_fmt(d0)},{_fmt(d)},"
                     f"{int(clamped)}")
@@ -324,7 +324,8 @@ def main(argv=None) -> int:
             return EXIT_RANGE
     try:
         return args.func(args)
-    except (ThreadCapError, noise.UnknownKindError, OSError) as exc:
+    except (ThreadCapError, UnknownCodeError, noise.UnknownKindError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -52,7 +52,6 @@ class Family:
     cap_open: bool
     p_msg: str
     frame: str = "computational"
-    prints_p: bool = True                # decoq channel prints p= (not native=)
 
 
 def _diag(*weights) -> np.ndarray:
@@ -122,7 +121,7 @@ FAMILIES = {
         invert=lambda p: -math.log1p(-p),
         native_top=math.inf, native_msg="gamma_t must be >= 0",
         cap=1.0, cap_open=True, p_msg="calibrated p must lie in [0, 1)",
-        frame="plus_minus", prints_p=False),
+        frame="plus_minus"),
     "phase_damping": Family(
         kraus=_phase_damping_kraus,
         chi=lambda x: _diag((1.0 + math.exp(-x)) / 2.0, 0.0, 0.0,
@@ -130,8 +129,7 @@ FAMILIES = {
         calibrate=lambda x: -math.expm1(-x) / 2.0,
         invert=lambda p: -math.log1p(-2.0 * p),
         native_top=math.inf, native_msg="b_sq must be >= 0",
-        cap=0.5, cap_open=True, p_msg="calibrated p must lie in [0, 1/2)",
-        prints_p=False),
+        cap=0.5, cap_open=True, p_msg="calibrated p must lie in [0, 1/2)"),
 }
 
 CHANNEL_KINDS = tuple(FAMILIES)

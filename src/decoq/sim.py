@@ -11,20 +11,21 @@ BLOCK_ENTRIES entries at a time: the block's slice of the state's (2,)*m or
 (2,)*2m view is copied with the acted-on axes first into a small buffer,
 multiplied by one ``np.dot``, and written back to the same positions.
 ``apply_gate`` and ``apply_channel_wire`` write into ``out=``, which may be
-the input; without it they return a new array.  ``fuse_gates`` compiles a
-gate list into maximal permutation runs (composed by index arrays) and
-maximal runs of other gates (one dense block each).
+the input; without it they return a new array.  A circuit is a tuple of
+gates; ``fuse_gates`` compiles one into maximal permutation runs (composed
+by index arrays) and maximal runs of other gates (one dense block each).
 
-The main entry point is simulate_choi, in three stages:
+The main entry point is simulate_choi.  An n-wire code runs on wires
+0..n-1 of an (n+1)-wire register, and the last wire, n, is the reference:
 
 * encode -- run the code's fused encoder (QecCode.encode_gates) on the pure
-  state vector of a maximally entangled pair (reference wire, code data
-  wire), then form its density matrix once;
+  state vector of a maximally entangled pair (code data wire 0, reference
+  wire n), then form its density matrix once;
 * noise  -- apply a single-qubit channel to every code wire, each as one
   contraction of its 4x4 superoperator (KrausChannel.superop, built once per
   channel) on the wire's (row, column) axes;
-* decode -- apply the fused decoder and recovery (QecCode.decode_gates),
-  both built once per code object, and trace out all but (data, reference).
+* decode -- apply the fused decoder (QecCode.decode_gates), built once per
+  code object, and trace out all but (data, reference).
 
 Noise and decode write into the one density matrix the function owns, so a
 run holds at most two register-sized arrays: the register and the first
@@ -132,18 +133,6 @@ def cz(control: int, target: int) -> Gate:
 
 def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return controlled_pauli("X", (control_a, control_b), target)
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """An ordered gate list on ``wire_count`` wires."""
-    wire_count: int
-    gates: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            _check_wires(g.wires, self.wire_count)
 
 
 def _check_wires(wires, wire_count: int):
@@ -278,24 +267,19 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     return np.einsum("atbt->ab", tens)
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The full 2^m x 2^m unitary of a (noise-free) circuit.
+def circuit_unitary(gates, m: int) -> np.ndarray:
+    """The full 2^m x 2^m unitary of a (noise-free) gate sequence on m wires.
 
     All columns are computed at once: the identity, read as a state vector
     on 2m wires (row wires first), becomes the unitary when each gate is
     applied to its row wires.
     """
-    dim = 2 ** circuit.wire_count
+    dim = 2 ** m
     vec = np.eye(dim, dtype=complex).reshape(-1)
-    for gate in circuit.gates:
+    for gate in gates:
+        _check_wires(gate.wires, m)
         apply_gate(vec, gate, out=vec)
     return vec.reshape(dim, dim)
-
-
-def shift_gates(gates, offset: int):
-    """The same gates with every wire index moved up by ``offset``."""
-    return tuple(Gate(g.name, tuple(w + offset for w in g.wires), g.matrix)
-                 for g in gates)
 
 
 def fuse_gates(gates) -> tuple:
@@ -317,7 +301,7 @@ def fuse_gates(gates) -> tuple:
                 src = src[_register_src(g.src, g.wires, len(wires))]
             matrix = np.eye(len(src))[src]
         else:
-            matrix = circuit_unitary(Circuit(len(wires), local))
+            matrix = circuit_unitary(local, len(wires))
         fused.append(Gate("+".join(g.name for g in run), wires, matrix))
     return tuple(fused)
 
@@ -327,9 +311,10 @@ def simulate_choi(code, noise) -> np.ndarray:
 
     ``noise`` is either one single-qubit KrausChannel (applied independently
     to every code wire) or a sequence of per-code-wire channels (entries may
-    be None for no noise on that wire).  Wire 0 of the register is the
-    untouched reference, wire 1 the data qubit, wires 2..n the ancillas.
-    Returns the 4x4 state on (data, reference), data factor first.
+    be None for no noise on that wire).  The register's wires 0..n-1 are the
+    code's own (wire 0 the data qubit, 1..n-1 the ancillas) and wire n is
+    the untouched reference.  Returns the 4x4 state on (data, reference),
+    data factor first.
     """
     n = code.n
     m = n + 1
@@ -343,10 +328,9 @@ def simulate_choi(code, noise) -> np.ndarray:
             raise ValueError(f"need one channel per code wire ({n}), "
                              f"got {len(per_wire)}")
 
-    # |Omega> on (reference=0, data=1), ancillas |0>
+    # |Omega> on (data=0, reference=n), ancillas |0>
     psi = np.zeros(2 ** m, dtype=complex)
-    psi[0] = 1.0 / np.sqrt(2.0)
-    psi[(1 << (m - 1)) + (1 << (m - 2))] = 1.0 / np.sqrt(2.0)
+    psi[0] = psi[(1 << n) + 1] = 1.0 / np.sqrt(2.0)
     for gate in code.encode_gates:
         apply_gate(psi, gate, out=psi)
     rho = np.outer(psi, psi.conj())
@@ -354,8 +338,8 @@ def simulate_choi(code, noise) -> np.ndarray:
     # rho is this function's own, so noise and decode write into it
     for w, ch in enumerate(per_wire):
         if ch is not None:
-            apply_channel_wire(rho, ch, 1 + w, out=rho)
+            apply_channel_wire(rho, ch, w, out=rho)
 
     for gate in code.decode_gates:
         apply_gate(rho, gate, out=rho)
-    return partial_trace(rho, keep=(1, 0))
+    return partial_trace(rho, keep=(0, n))

@@ -56,6 +56,8 @@ def test_channel_unphysical_parameter(capsys):
 
 
 UNKNOWN_KIND = ("", "error: unknown channel kind 'gauss'\n")
+UNKNOWN_CODE = ("", "error: unknown code 'steane'; choose from bit3, phase3, "
+                    "shor5, shor9, none\n")
 
 
 def test_channel_unknown_kind(capsys):
@@ -132,8 +134,10 @@ def test_sweep_csv_is_deterministic(tmp_path):
 
 
 def test_sweep_exit_codes(capsys):
-    assert main(["sweep", "--code", "steane", "--channel", "bit_flip"]) == 2
-    capsys.readouterr()
+    # the code is checked first, so an unknown kind does not hide it
+    for kind in ("bit_flip", "gauss"):
+        assert main(["sweep", "--code", "steane", "--channel", kind]) == 2
+        assert capsys.readouterr() == UNKNOWN_CODE
     # the kind is checked before --steps and the p range, and stays exit 2
     for extra in ([], ["--steps", "0"], ["--pmin", "0.5", "--pmax", "0.1"]):
         assert main(["sweep", "--code", "bit3", "--channel", "gauss"]
@@ -176,12 +180,16 @@ def test_fit_break_even_at_the_cap_is_none(capsys):
 
 def test_sweep_svg(tmp_path):
     out = tmp_path / "plot.svg"
-    assert main(["sweep", "--code", "bit3", "--channel", "bit_flip",
-                 "--pmin", "0.05", "--pmax", "0.2", "--steps", "3",
-                 "--format", "svg", "--out", str(out)]) == 0
-    text = out.read_text()
-    assert text.startswith("<svg")
-    assert text.rstrip().endswith("</svg>")
+    for argv in (["sweep", "--code", "bit3", "--channel", "bit_flip",
+                  "--pmin", "0.05", "--pmax", "0.2", "--steps", "3"],
+                 ["dqd", "--tmin", "1e-13", "--tmax", "1e-11",
+                  "--steps", "3"]):
+        assert main(argv + ["--format", "svg", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.startswith("<svg")
+        assert text.rstrip().endswith("</svg>")
+        # dqd plots t on a log10 axis
+        assert (">t (s) (log10)</text>" in text) == (argv[0] == "dqd")
 
 
 def test_fit_output(capsys):
@@ -198,8 +206,9 @@ def test_fit_output(capsys):
 
 
 def test_fit_unknown_code(capsys):
-    assert main(["fit", "--code", "steane", "--channel", "bit_flip"]) == 2
-    capsys.readouterr()
+    for kind in ("bit_flip", "gauss"):
+        assert main(["fit", "--code", "steane", "--channel", kind]) == 2
+        assert capsys.readouterr() == UNKNOWN_CODE
     assert main(["fit", "--code", "bit3", "--channel", "gauss"]) == 2
     assert capsys.readouterr() == UNKNOWN_KIND
 
@@ -235,6 +244,19 @@ def test_dqd_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["dqd", flag, value, "--steps", "2"]) == 3
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_dqd_params_beyond_float_range_are_range_errors(tmp_path, capsys):
+    # each value is finite and positive, but the rates overflow or divide
+    # by a product that underflows to zero
+    path = tmp_path / "params.json"
+    for key, value in (("k_per_m", "1e200"), ("a_nm", "1e300"),
+                       ("s_m_per_s", "1e-300"), ("rho_g_per_cm3", "1e-320"),
+                       ("a_nm", "1e-300")):
+        path.write_text(f'{{"{key}": {value}}}')
+        assert main(["dqd", "--params", str(path), "--steps", "2"]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: the device parameters leave floating-point range\n"))
 
 
 def test_dqd_n_ops_beyond_a_float_is_a_range_error(capsys):

@@ -4,11 +4,11 @@ import pytest
 
 from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             choi_to_chi)
-from decoq.codes import (CODE_NAMES, QecCode, bit_flip_code, build_recovery,
-                         code_by_name, shor5_code, shor9_code)
+from decoq.codes import (CODE_NAMES, QecCode, UnknownCodeError, bit_flip_code,
+                         build_recovery, code_by_name, shor5_code, shor9_code)
 from decoq.decoherence import measure_auto
 from decoq.noise import build_channel
-from decoq.sim import Circuit, simulate_choi
+from decoq.sim import simulate_choi
 
 from util import bell_choi_reference
 
@@ -59,9 +59,8 @@ def test_bit3_known_logical_error_rate():
 
 def test_synthesized_recovery_matches_explicit_decoder():
     base = bit_flip_code()
-    rec = build_recovery(base.encoder, base.corrects)
-    alt = QecCode("bit3r", 3, base.encoder, Circuit(3, ()), (rec,),
-                  base.corrects)
+    rec = build_recovery(3, base.encoder, base.corrects)
+    alt = QecCode("bit3r", 3, base.encoder, (rec,), base.corrects)
     for p in (0.0, 0.13, 0.3):
         t1 = simulate_choi(base, build_channel("bit_flip", p))
         t2 = simulate_choi(alt, build_channel("bit_flip", p))
@@ -72,10 +71,13 @@ def test_build_recovery_rejects_uncorrectable_sets():
     enc = bit_flip_code().encoder
     # Z errors act trivially on the repetition codewords
     with pytest.raises(ValueError):
-        build_recovery(enc, (("Z", 0), ("Z", 1), ("Z", 2)))
-    # more errors than the ancillas can label
-    with pytest.raises(ValueError):
-        build_recovery(enc, (("X", 0), ("X", 1), ("X", 2), ("Y", 0)))
+        build_recovery(3, enc, (("Z", 0), ("Z", 1), ("Z", 2)))
+    # the corrupted codewords must fill the code space: four errors are
+    # more than the ancillas can label, two leave a subspace unreached
+    for corrects in ((("X", 0), ("X", 1), ("X", 2), ("Y", 0)),
+                     (("X", 0), ("X", 1))):
+        with pytest.raises(ValueError, match="not the 8 that fill 3 wires"):
+            build_recovery(3, enc, corrects)
 
 
 def test_bit3_does_not_correct_y_errors():
@@ -85,8 +87,7 @@ def test_bit3_does_not_correct_y_errors():
 
 def test_recovery_block_shape_and_unitarity():
     code = shor5_code()
-    assert code.decoder.gates == ()
-    (rec,) = code.recovery
+    (rec,) = code.decoder
     assert rec.wires == tuple(range(5))
     assert rec.matrix.shape == (32, 32)
     assert np.abs(rec.matrix @ rec.matrix.conj().T - np.eye(32)).max() < 1e-10
@@ -94,7 +95,7 @@ def test_recovery_block_shape_and_unitarity():
 
 def test_code_by_name():
     assert set(CODE_NAMES) == {"bit3", "phase3", "shor5", "shor9", "none"}
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownCodeError):
         code_by_name("steane")
 
 
@@ -102,5 +103,6 @@ def test_code_by_name_returns_one_object_per_name():
     for name in CODE_NAMES:
         assert code_by_name(name) is code_by_name(name)
     for _ in range(2):
-        with pytest.raises(ValueError, match="unknown code 'steane'"):
+        with pytest.raises(UnknownCodeError, match="unknown code 'steane'; "
+                           "choose from bit3, phase3, shor5, shor9, none"):
             code_by_name("steane")

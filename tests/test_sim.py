@@ -11,10 +11,9 @@ from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
 from decoq.cli import _FIT_POLICY
 from decoq.codes import CODE_NAMES, QecCode, code_by_name, trivial_code
 from decoq.noise import CHANNEL_KINDS, build_channel, from_calibrated_p
-from decoq.sim import (MAX_WIRES, Circuit, Gate, apply_channel_wire,
-                       apply_gate, circuit_unitary, cnot, cz, fuse_gates,
-                       hadamard, partial_trace, pauli_gate, shift_gates,
-                       simulate_choi, toffoli)
+from decoq.sim import (MAX_WIRES, Gate, apply_channel_wire, apply_gate,
+                       circuit_unitary, cnot, cz, fuse_gates, hadamard,
+                       partial_trace, pauli_gate, simulate_choi, toffoli)
 
 from util import (bell_choi_reference, embed_operator, kraus_sum_on_wire,
                   random_density, random_kraus_channel, reference_choi,
@@ -61,8 +60,8 @@ def test_controlled_gates():
     assert np.abs(out - _ket((1, 1, 1))).max() < 1e-14
     out = apply_gate(_ket((1, 0, 0)), toffoli(0, 1, 2))
     assert np.abs(out - _ket((1, 0, 0))).max() < 1e-14
-    u1 = circuit_unitary(Circuit(2, (cz(0, 1),)))
-    u2 = circuit_unitary(Circuit(2, (cz(1, 0),)))
+    u1 = circuit_unitary((cz(0, 1),), 2)
+    u2 = circuit_unitary((cz(1, 0),), 2)
     assert np.abs(u1 - u2).max() < 1e-14
     assert np.abs(u1 - np.diag([1, 1, 1, -1])).max() < 1e-14
 
@@ -83,8 +82,8 @@ def test_gate_validation():
 
 def test_block_unitary_multi_wire():
     swap = np.eye(4)[:, [0, 2, 1, 3]]
-    u = circuit_unitary(Circuit(2, (Gate("SWAP", (0, 1), swap),)))
-    u2 = circuit_unitary(Circuit(2, (cnot(0, 1), cnot(1, 0), cnot(0, 1))))
+    u = circuit_unitary((Gate("SWAP", (0, 1), swap),), 2)
+    u2 = circuit_unitary((cnot(0, 1), cnot(1, 0), cnot(0, 1)), 2)
     assert np.abs(u - u2).max() < 1e-12
 
 
@@ -252,24 +251,24 @@ def test_gather_index_is_not_kept_beyond_the_simulator_registers():
     psi = np.random.default_rng(33).normal(size=2 ** m).astype(complex)
     assert np.array_equal(apply_gate(psi, gate),
                           tensordot_apply_gate(psi, gate))
-    # circuit_unitary applies shor9's fused gathers to a 20-wire vector
+    # circuit_unitary applies shor9's fused gathers to an 18-wire vector
     shor9 = code_by_name("shor9")
     simulate_choi(shor9, build_channel("depolarizing", 0.01))
     gates = shor9.decode_gates
     before = [dict(g._gathers) for g in gates]
     assert any(before)
-    circuit_unitary(Circuit(10, gates))
+    circuit_unitary(gates, 9)
     for g, kept in zip(gates, before):
         assert g._gathers.keys() == kept.keys()
         assert all(g._gathers[k] is kept[k] for k in kept)
 
 
 def test_circuit_unitary_applies_gates_in_order():
-    circ = Circuit(3, (hadamard(0), cnot(0, 2), toffoli(2, 0, 1)))
+    circ = (hadamard(0), cnot(0, 2), toffoli(2, 0, 1))
     want = np.eye(8, dtype=complex)
-    for g in circ.gates:
+    for g in circ:
         want = embed_operator(g.matrix, g.wires, 3) @ want
-    assert np.abs(circuit_unitary(circ) - want).max() < 1e-15
+    assert np.abs(circuit_unitary(circ, 3) - want).max() < 1e-15
 
 
 def test_permutation_gates_are_gathers_equal_to_the_contraction():
@@ -297,39 +296,39 @@ def test_fuse_gates_keeps_the_circuit():
     fused = fuse_gates(gates)
     assert [g.wires for g in fused] == [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3)]
     assert [g.src is not None for g in fused] == [True, False, True]
-    want = circuit_unitary(Circuit(4, gates))
-    assert np.abs(circuit_unitary(Circuit(4, fused)) - want).max() < 1e-15
+    want = circuit_unitary(gates, 4)
+    assert np.abs(circuit_unitary(fused, 4) - want).max() < 1e-15
     assert fuse_gates(()) == ()
 
 
 def test_fused_circuits_are_built_once_on_the_simulator_wires():
     for name in CODE_NAMES:
         code = code_by_name(name)
-        m = code.n + 1
+        n = code.n
         assert code.encode_gates is code.encode_gates
         assert code.decode_gates is code.decode_gates
-        for fused, gates in ((code.encode_gates, code.encoder.gates),
-                             (code.decode_gates,
-                              code.decoder.gates + code.recovery)):
+        for fused, gates in ((code.encode_gates, code.encoder),
+                             (code.decode_gates, code.decoder)):
+            # the code's wires are the simulator's wires 0..n-1
             for g in fused:
-                assert set(g.wires) <= set(range(1, m))
-            want = circuit_unitary(Circuit(m, shift_gates(gates, 1)))
-            got = circuit_unitary(Circuit(m, fused))
+                assert set(g.wires) <= set(range(n))
+            want = circuit_unitary(gates, n)
+            got = circuit_unitary(fused, n)
             exact = all(g.src is not None for g in fused)
             assert np.abs(got - want).max() <= (0.0 if exact else 1e-15)
     shor9 = code_by_name("shor9")
     assert [(g.src is not None, g.wires) for g in shor9.decode_gates] == [
-        (True, tuple(range(1, 10))), (False, (1, 4, 7)), (True, (1, 4, 7))]
+        (True, tuple(range(9))), (False, (0, 3, 6)), (True, (0, 3, 6))]
     assert len(code_by_name("shor5").encode_gates) == 9
     assert len(code_by_name("bit3").decode_gates) == 1
 
 
-def test_circuit_unitary_and_shift():
-    u = circuit_unitary(Circuit(1, (hadamard(0),)))
+def test_circuit_unitary_checks_its_wires():
+    u = circuit_unitary((hadamard(0),), 1)
     assert np.abs(u - np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)).max() < 1e-12
-    g = shift_gates((cnot(0, 1),), 1)[0]
-    assert g.wires == (1, 2)
-    assert np.abs(g.matrix - cnot(0, 1).matrix).max() == 0.0
+    # the 2m-wire vector has a wire 1, but the 1-wire circuit does not
+    with pytest.raises(ValueError, match="wire 1 out of range for 1 wires"):
+        circuit_unitary((cnot(0, 1),), 1)
 
 
 def test_simulate_choi_trivial_code_reproduces_channel_choi():
@@ -359,9 +358,14 @@ def test_simulate_choi_output_is_physical():
 def test_simulate_choi_input_checks():
     with pytest.raises(ValueError):
         simulate_choi(trivial_code(), (None, None))
-    big = QecCode("big", 11, Circuit(11, ()), Circuit(11, ()), (), ())
+    big = QecCode("big", 11, (), (), ())
     with pytest.raises(ValueError):
         simulate_choi(big, (None,) * 11)
+    # the register's wire n is the reference, so a code refuses gates there
+    for enc, dec in (((cnot(0, 3),), ()), ((), (pauli_gate("X", 3),))):
+        with pytest.raises(ValueError, match=r"on wires \(.*3,?\) outside "
+                                             "its 3 wires"):
+            QecCode("stray", 3, enc, dec, ())
 
 
 @functools.lru_cache(maxsize=None)

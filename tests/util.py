@@ -256,18 +256,18 @@ def tensordot_simulate_choi(code, per_wire):
     encoder on the pure state, one superoperator per noisy wire, and the
     fused decoder, each contraction by ``np.tensordot`` into a new array;
     then the library's own partial trace."""
-    m = code.n + 1
-    psi = np.zeros(2 ** m, dtype=complex)
-    psi[0] = psi[(1 << (m - 1)) + (1 << (m - 2))] = 1.0 / np.sqrt(2.0)
+    n = code.n
+    psi = np.zeros(2 ** (n + 1), dtype=complex)
+    psi[0] = psi[(1 << n) + 1] = 1.0 / np.sqrt(2.0)   # reference wire last
     for gate in code.encode_gates:
         psi = tensordot_apply_gate(psi, gate)
     rho = np.outer(psi, psi.conj())
     for w, ch in enumerate(per_wire):
         if ch is not None:
-            rho = tensordot_apply_channel_wire(rho, ch.operators, 1 + w)
+            rho = tensordot_apply_channel_wire(rho, ch.operators, w)
     for gate in code.decode_gates:
         rho = tensordot_apply_gate(rho, gate)
-    return partial_trace(rho, keep=(1, 0))
+    return partial_trace(rho, keep=(0, n))
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,10 +282,12 @@ def _gates_unitary(gates, n):
 def reference_choi(code, per_wire):
     """Choi state (data factor first) of ``code`` with one channel (or None)
     per code wire, written without decoq.sim: np.kron-embedded gates, a
-    Kraus sum per wire, and a matrix partial trace."""
+    Kraus sum per wire, and a matrix partial trace.  The reference wire
+    comes first here, where ``simulate_choi`` puts it last, so the two
+    agree only if the simulator's layout is right."""
     n = code.n
     dim = 2 ** n
-    enc = _gates_unitary(code.encoder.gates, n)
+    enc = _gates_unitary(code.encoder, n)
     # |Omega> = (|0>|0_L> + |1>|1_L>)/sqrt2 with the reference wire first,
     # |b_L> = Enc |b 0...0> (the data wire is the top bit)
     psi = np.concatenate([enc[:, 0], enc[:, dim // 2]]) / np.sqrt(2.0)
@@ -293,7 +295,7 @@ def reference_choi(code, per_wire):
     for w, ch in enumerate(per_wire):
         if ch is not None:
             rho = kraus_sum_on_wire(rho, ch.operators, 1 + w)
-    dec = _gates_unitary(code.decoder.gates + code.recovery, n)
+    dec = _gates_unitary(code.decoder, n)
     tau = np.zeros((2, 2, 2, 2), dtype=complex)      # (data, ref, data', ref')
     for r in (0, 1):
         for rp in (0, 1):
