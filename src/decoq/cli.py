@@ -30,7 +30,8 @@ from .channels import chi_to_choi, chi_to_kraus, verify_cptp
 from .codes import CODE_NAMES, UnknownCodeError, code_by_name
 from .decoherence import (is_diagonal, measure_auto, measure_by_definition,
                           measure_diagonal, measure_general)
-from .sweep import ThreadCapError, break_even, fit_poly, sweep
+from .sim import ThreadCapError
+from .sweep import break_even, fit_poly, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,10 +188,15 @@ def cmd_fit(args) -> int:
 
 # -------------------------------------------------------------------- dqd --
 
+_FLOAT_RANGE = "the device parameters leave floating-point range"
+
+
 def cmd_dqd(args) -> int:
     try:
         params = (dqd_mod.load_params(args.params) if args.params
                   else dqd_mod.default_params())
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(_FLOAT_RANGE) from None
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: bad params file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -204,8 +210,7 @@ def cmd_dqd(args) -> int:
         try:
             p1, p2, clamped = dqd_mod.dqd_error_probs(params, t, args.n_ops)
         except (OverflowError, ZeroDivisionError):
-            raise ValueError("the device parameters leave floating-point "
-                             "range") from None
+            raise ValueError(_FLOAT_RANGE) from None
         d0, d = dqd_mod.decoherence_pair(p1, p2)
         rows.append(f"{_fmt(t)},{_fmt(p1)},{_fmt(p2)},{_fmt(d0)},{_fmt(d)},"
                     f"{int(clamped)}")

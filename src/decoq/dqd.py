@@ -27,6 +27,11 @@ from .noise import FAMILIES
 
 HBAR = 1.054571817e-34        # J s
 EV = 1.602176634e-19          # J
+# smallest dot separation accepted, in units of a/sqrt(2): the closed form of
+# B^2(t) cancels two terms as it falls, with a relative error of about
+# 1e-15/y^2 (at most 6.3e-11 against the quadrature over t = 1e-16 ... 1e-8 s
+# at y = 1.001e-2)
+MIN_SEPARATION_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,16 @@ class DqdParams:
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive")
+        # a device whose relaxation rate leaves floating point (a dot radius
+        # of 1e300 nm) raises OverflowError or ZeroDivisionError here, before
+        # the separation check would refuse it for another reason
+        relaxation_rate(self)
+        ratio = self.dot_separation * math.sqrt(2.0) / self.dot_radius
+        if ratio < MIN_SEPARATION_RATIO:
+            raise ValueError(
+                f"dot_separation must be at least {MIN_SEPARATION_RATIO:g} "
+                f"dot_radius/sqrt(2) for B^2(t) to hold its precision, "
+                f"got {ratio:.3g}")
 
 
 def params_from_units(xi_eV: float = 3.3, s_m_per_s: float = 9.0e3,
@@ -186,8 +201,9 @@ def spectral_function(params: DqdParams, t: float) -> float:
 
     which tends to pref [1/(2a^2) - F(y)/(4 L sqrt(beta))] as t -> inf; that
     limit is returned once delta overflows.  The two terms cancel as y -> 0,
-    where B^2 ~ y^2: the relative error grows like 1e-15/y^2 there, and a
-    result that round-off pushes below zero is returned as 0.
+    where B^2 ~ y^2: the relative error grows like 1e-15/y^2 there, so
+    DqdParams refuses y below MIN_SEPARATION_RATIO, and a result that
+    round-off pushes below zero is returned as 0.
     """
     t = float(t)          # a huge t overflows to inf without a numpy warning
     if t < 0.0:

@@ -4,16 +4,27 @@ States are 2^m state vectors or 2^m x 2^m density matrices with tensor-factor
 order equal to wire order (wire 0 is the most significant bit of the basis
 index).  Gates act on one, two, three, or a block of wires.  A gate whose
 matrix is a permutation (X, CNOT, Toffoli, or a fused run of them) is
-applied as an exact index gather over the whole register; the gate caches
-that index once per register size up to MAX_WIRES.  Every other gate, and
-every channel's superoperator, is applied in place, one block of
-BLOCK_ENTRIES entries at a time: the block's slice of the state's (2,)*m or
-(2,)*2m view is copied with the acted-on axes first into a small buffer,
-multiplied by one ``np.dot``, and written back to the same positions.
-``apply_gate`` and ``apply_channel_wire`` write into ``out=``, which may be
-the input; without it they return a new array.  A circuit is a tuple of
-gates; ``fuse_gates`` compiles one into maximal permutation runs (composed
-by index arrays) and maximal runs of other gates (one dense block each).
+applied as an exact index gather; the gate caches that index once per
+register size up to MAX_WIRES.  Every other gate, and every channel's
+superoperator, is applied in place, one block of BLOCK_ENTRIES entries at a
+time: the block's slice of the state's (2,)*m or (2,)*2m view is copied
+with the acted-on axes first into a small buffer, multiplied by one
+``np.dot``, and written back to the same positions.  A gather on a density
+matrix of more than one block runs one row set at a time: each set is whole
+cycles of the permutation, so its rows are gathered (rows, then columns)
+into a small buffer and written back in place.  ``apply_gate`` and
+``apply_channel_wire`` write into ``out=``, which may be the input; without
+it they return a new array.  A circuit is a tuple of gates; ``fuse_gates``
+compiles one into maximal permutation runs (composed by index arrays) and
+maximal runs of other gates (one dense block each).
+
+Blocks and row sets touch disjoint entries, so an operation of at least
+SPLIT_MIN_BLOCKS of them is split into contiguous chunks, one per worker
+(``worker_count``: DECOM_THREADS, at most one per CPU): the calling thread
+runs the first and a pool, made on first use, the rest.  Each block goes
+through its own ``np.dot`` wherever it runs, so the result does not depend
+on the split.  Smaller operations run in the calling thread and never read
+DECOM_THREADS.
 
 The main entry point is simulate_choi.  An n-wire code runs on wires
 0..n-1 of an (n+1)-wire register, and the last wire, n, is the reference:
@@ -25,11 +36,12 @@ The main entry point is simulate_choi.  An n-wire code runs on wires
   contraction of its 4x4 superoperator (KrausChannel.superop, built once per
   channel) on the wire's (row, column) axes;
 * decode -- apply the fused decoder (QecCode.decode_gates), built once per
-  code object, and trace out all but (data, reference).
+  code object, and trace out all but (data, reference) with one
+  ``np.einsum`` over the register's (2,)*2m view.
 
 Noise and decode write into the one density matrix the function owns, so a
-run holds at most two register-sized arrays: the register and the first
-half of a permutation gate's gather (or the partial trace's transposed copy).
+run holds one register-sized array and, per worker, buffers of a block or a
+row set.
 
 The result is the Choi state of the error-corrected logical channel, with the
 noisy (data) factor first.  The superoperator and Choi contractions follow
@@ -38,6 +50,9 @@ Wood, Biamonte & Cory, arXiv:1111.6950.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +65,10 @@ UNITARY_ATOL = 1e-12
 # writes back at a time; shor9's noise stage took 92, 90, 93, 108 and
 # 142 ms at 2^12 ... 2^16 entries (4 MiB L2, OpenBLAS at 1 thread)
 BLOCK_ENTRIES = 2 ** 13
+# an operation of at least this many blocks or row sets is split over the
+# workers; shor9's noise, dense decode and gathers have 128 each, while every
+# contraction and gather of a register of up to 6 wires is a single block
+SPLIT_MIN_BLOCKS = 8
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _PAULIS_1Q = dict(zip(PAULI_LABELS, PAULI_BASIS))
@@ -67,6 +86,7 @@ class Gate:
     matrix: np.ndarray
     src: np.ndarray | None = field(default=None, init=False, repr=False)
     _gathers: dict = field(default_factory=dict, init=False, repr=False)
+    _row_sets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         wires = tuple(int(w) for w in self.wires)
@@ -102,6 +122,17 @@ class Gate:
             if m <= MAX_WIRES:
                 idx = self._gathers.setdefault(m, idx)
         return idx
+
+    def row_sets(self, m: int) -> tuple:
+        """The row sets of a density-matrix gather over an m-wire register
+        (``_cycle_sets``), kept like ``gather_index``."""
+        sets = self._row_sets.get(m)
+        if sets is None:
+            sets = _cycle_sets(self.gather_index(m),
+                               max(1, BLOCK_ENTRIES >> m))
+            if m <= MAX_WIRES:
+                sets = self._row_sets.setdefault(m, sets)
+        return sets
 
 
 def hadamard(wire: int) -> Gate:
@@ -149,6 +180,60 @@ def _wire_count_of(state: np.ndarray, ndim: int = 2) -> int:
     return m
 
 
+class ThreadCapError(ValueError):
+    """DECOM_THREADS is set but is not an integer."""
+
+
+def worker_count() -> int:
+    """Threads that share a split operation: DECOM_THREADS, at most one per
+    CPU and at least one; all the CPUs when the variable is unset."""
+    cpus = os.cpu_count() or 1
+    cap = os.environ.get("DECOM_THREADS")
+    try:
+        cap = int(cap) if cap else cpus
+    except ValueError:
+        raise ThreadCapError(
+            f"DECOM_THREADS must be an integer, got {cap!r}") from None
+    return max(1, min(cap, cpus))
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The block pool, made on first use: one thread per CPU beyond the
+    calling one (it starts a thread per queued chunk while none is idle)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
+                                       thread_name_prefix="decoq-block")
+        return _pool
+
+
+def _spread(work, n_items: int) -> None:
+    """Call ``work(start, stop)`` on contiguous ranges that cover
+    ``range(n_items)``: one range in the calling thread below
+    SPLIT_MIN_BLOCKS items, else one per worker, the first in the calling
+    thread and the others on the pool; no range is empty."""
+    workers = 1
+    if n_items >= SPLIT_MIN_BLOCKS:
+        workers = min(worker_count(), n_items)
+    if workers == 1:
+        work(0, n_items)
+        return
+    edges = [n_items * i // workers for i in range(workers + 1)]
+    pool = _executor()
+    futures = [pool.submit(work, a, b) for a, b in zip(edges[1:-1], edges[2:])]
+    try:
+        work(0, edges[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _contract(tens: np.ndarray, op: np.ndarray, axes,
               out: np.ndarray) -> None:
     """Apply ``op`` to the given axes of a tensor with (2,)-sized axes,
@@ -158,9 +243,9 @@ def _contract(tens: np.ndarray, op: np.ndarray, axes,
     leading ones are fixed one block at a time.  Each block's slice is
     copied, acted-on axes first, into a small contiguous array, multiplied
     by one ``np.dot`` and written back to the same positions, so no
-    register-sized temporary is made.  Every output column is the product
-    ``np.tensordot(op, tens)`` forms, the same ``np.dot`` on the same
-    operands.
+    register-sized temporary is made; the blocks are ``_spread`` over the
+    workers.  Every output column is the product ``np.tensordot(op, tens)``
+    forms, the same ``np.dot`` on the same operands.
     """
     rest = [a for a in range(tens.ndim) if a not in axes]
     # log2 of the columns of one block.  OpenBLAS 0.3.31 (Haswell kernels)
@@ -170,13 +255,18 @@ def _contract(tens: np.ndarray, op: np.ndarray, axes,
     lead = len(rest) - cols
     order = rest[:lead] + list(axes) + rest[lead:]
     src, dst = tens.transpose(order), out.transpose(order)
-    block = np.empty(src.shape[lead:], dtype=complex)
-    prod = np.empty_like(block)
-    a, b = block.reshape(op.shape[1], -1), prod.reshape(op.shape[0], -1)
-    for idx in itertools.product((0, 1), repeat=lead):
-        block[...] = src[idx]
-        np.dot(op, a, out=b)
-        dst[idx] = prod
+
+    def work(start, stop):
+        block = np.empty(src.shape[lead:], dtype=complex)
+        prod = np.empty_like(block)
+        a, b = block.reshape(op.shape[1], -1), prod.reshape(op.shape[0], -1)
+        blocks = itertools.product((0, 1), repeat=lead)
+        for idx in itertools.islice(blocks, start, stop):
+            block[...] = src[idx]
+            np.dot(op, a, out=b)
+            dst[idx] = prod
+
+    _spread(work, 1 << lead)
 
 
 def _out_buffer(state: np.ndarray, out) -> np.ndarray:
@@ -189,6 +279,55 @@ def _out_buffer(state: np.ndarray, out) -> np.ndarray:
         raise ValueError("out must be a C-contiguous complex array of the "
                          "state's shape")
     return out
+
+
+def _cycle_sets(idx: np.ndarray, width: int) -> tuple:
+    """The cycles of the permutation ``idx``, packed in order into sets of
+    at most ``width`` rows (a longer cycle is a set of its own).  Each set
+    is closed under ``idx``, so gathering its rows reads only its own."""
+    src = idx.tolist()
+    seen = [False] * len(src)
+    sets, rows = [], []
+    for start in range(len(src)):
+        cycle = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = src[j]
+        if rows and len(rows) + len(cycle) > width:
+            sets.append(np.array(rows))
+            rows = []
+        rows += cycle
+    sets.append(np.array(rows))
+    return tuple(sets)
+
+
+def _gather_density(rho: np.ndarray, gate: Gate, m: int,
+                    out: np.ndarray) -> None:
+    """``out = rho[idx][:, idx]`` with the gate's index over m wires;
+    ``out`` may be ``rho``.  A register of one block is gathered whole, a
+    larger one a row set at a time: the set's source rows are taken into a
+    small buffer, their columns gathered into a second, and the result
+    written to the set's rows.  The sets are ``_spread`` over the
+    workers."""
+    idx = gate.gather_index(m)
+    if rho.size <= BLOCK_ENTRIES:
+        rho.take(idx, axis=0).take(idx, axis=1, out=out, mode="clip")
+        return
+    row_sets = gate.row_sets(m)
+
+    def work(start, stop):
+        sets = row_sets[start:stop]
+        rows = np.empty((max(map(len, sets)), len(idx)), dtype=complex)
+        cols = np.empty_like(rows)
+        for dst in sets:
+            r, c = rows[:len(dst)], cols[:len(dst)]
+            rho.take(idx[dst], axis=0, out=r, mode="clip")
+            r.take(idx, axis=1, out=c, mode="clip")
+            out[dst] = c
+
+    _spread(work, len(row_sets))
 
 
 def _register_src(src: np.ndarray, wires, m: int) -> np.ndarray:
@@ -211,14 +350,12 @@ def apply_gate(state: np.ndarray, gate: Gate, *,
     _check_wires(gate.wires, m)
     out = _out_buffer(state, out)
     if gate.src is not None:
-        idx = gate.gather_index(m)
+        # the indices are a permutation, so "clip" clips nothing; it lets
+        # take write into out without a hidden temporary
         if state.ndim == 2:
-            # the indices are a permutation, so "clip" clips nothing; it
-            # lets take write into out without a hidden temporary
-            rows = state.take(idx, axis=0)
-            rows.take(idx, axis=1, out=out, mode="clip")
+            _gather_density(state, gate, m, out)
         else:
-            state.take(idx, out=out, mode="clip")
+            state.take(gate.gather_index(m), out=out, mode="clip")
         return out
     shape = (2,) * (state.ndim * m)
     tens = out.reshape(shape)
@@ -257,14 +394,13 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     _check_wires(keep, m)
     if len(set(keep)) != len(keep):
         raise ValueError("repeated wire in keep list")
-    traced = tuple(w for w in range(m) if w not in keep)
-    tens = rho.reshape((2,) * (2 * m))
-    order = (keep + traced + tuple(m + w for w in keep)
-             + tuple(m + w for w in traced))
-    tens = tens.transpose(order)
-    nk, nt = 2 ** len(keep), 2 ** len(traced)
-    tens = tens.reshape(nk, nt, nk, nt)
-    return np.einsum("atbt->ab", tens)
+    # a traced wire's row and column axes share a label, so einsum sums
+    # their diagonal on the register's own view, with no transposed copy
+    labels = list(range(m)) + [m + w if w in keep else w for w in range(m)]
+    kept = list(keep) + [m + w for w in keep]
+    nk = 2 ** len(keep)
+    return np.einsum(rho.reshape((2,) * (2 * m)), labels,
+                     kept).reshape(nk, nk)
 
 
 def circuit_unitary(gates, m: int) -> np.ndarray:

@@ -10,8 +10,6 @@ finds the smallest p where correction stops helping, i.e. D(p) = p.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,7 @@ from .channels import choi_to_chi
 from .codes import code_by_name
 from .decoherence import measure_auto
 from .noise import family, from_calibrated_p, native_from_calibrated
-from .sim import simulate_choi
+from .sim import simulate_choi, worker_count
 
 
 @dataclass(frozen=True)
@@ -48,42 +46,12 @@ class SweepResult:
     samples: tuple                 # ((p, D), ...) sorted by p
 
 
-# registers (code.n + 1 wires) of at least this many wires measure their
-# points on a thread pool; smaller ones in the calling thread, because their
-# per-point work is mostly Python holding the interpreter lock, while the
-# large contractions of bigger registers run in numpy with it released.  On
-# 2 CPUs the pool lost on 6 wires (shor5) and won on every size from 7 to 10
-POOL_MIN_WIRES = 7
-
-
-def _measure_point(code, kind: str, p: float) -> float:
-    channel = from_calibrated_p(kind, p)
-    tau = simulate_choi(code, channel)
-    return measure_auto(choi_to_chi(tau))
-
-
-class ThreadCapError(ValueError):
-    """DECOM_THREADS is set but is not an integer."""
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Pool size: one worker per job, at most DECOM_THREADS and at most one
-    per CPU (the pool starts a thread per queued job while none is idle)."""
-    cpus = os.cpu_count() or 1
-    cap = os.environ.get("DECOM_THREADS")
-    try:
-        cap = int(cap) if cap else cpus
-    except ValueError:
-        raise ThreadCapError(
-            f"DECOM_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(n_jobs, cap, cpus))
-
-
 def sweep(code_name: str, channel_kind: str, p_values,
           code=None) -> SweepResult:
-    """Measure corrected D at each p, collected in order; the points run on
-    a thread pool only for registers of POOL_MIN_WIRES or more wires and a
-    worker cap above 1."""
+    """Measure corrected D at each p, one point after another in the calling
+    thread; a large register's contractions share out their blocks
+    (``sim.worker_count``).  DECOM_THREADS is checked up front, so a
+    malformed value fails before any point for every code."""
     p_values = [float(p) for p in p_values]
     family(channel_kind)                  # refuses an unknown kind
     if code is None:
@@ -93,13 +61,9 @@ def sweep(code_name: str, channel_kind: str, p_values,
             native_from_calibrated(channel_kind, p)
         except ValueError as exc:
             raise ValueError(f"{channel_kind}: {exc}, got {p!r}") from None
-    workers = _worker_count(len(p_values))
-    if workers == 1 or code.n + 1 < POOL_MIN_WIRES:
-        ds = [_measure_point(code, channel_kind, p) for p in p_values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ds = list(pool.map(lambda p: _measure_point(code, channel_kind, p),
-                               p_values))
+    worker_count()                        # refuses a malformed DECOM_THREADS
+    ds = [measure_auto(choi_to_chi(simulate_choi(
+        code, from_calibrated_p(channel_kind, p)))) for p in p_values]
     samples = tuple(sorted(zip(p_values, ds)))
     return SweepResult(code_name, channel_kind, samples)
 

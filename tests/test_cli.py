@@ -290,6 +290,19 @@ def test_dqd_non_finite_params_are_bad_params_files(tmp_path, capsys):
                 f"got {value}\n"))
 
 
+def test_dqd_tiny_dot_separation_is_a_bad_params_file(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    for value in ("1e-300", "1e-6"):
+        path.write_text(f'{{"L_nm": {value}}}')
+        capsys.readouterr()
+        assert main(["dqd", "--params", str(path), "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: bad params file: dot_separation must "
+                               "be at least 0.01 dot_radius/sqrt(2)")
+
+
 def test_steps_above_the_cap_are_range_errors(capsys):
     steps = str(MAX_STEPS + 1)
     for argv in (["sweep", "--code", "bit3", "--channel", "bit_flip"],

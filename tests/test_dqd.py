@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from decoq.dqd import (EV, DqdParams, amp_poly, dawson, decoherence_pair,
-                       default_params, dqd_error_probs, load_params,
-                       params_from_units, phase_poly, relaxation_rate,
-                       spectral_function)
+from decoq.dqd import (EV, MIN_SEPARATION_RATIO, DqdParams, amp_poly,
+                       dawson, decoherence_pair, default_params,
+                       dqd_error_probs, load_params, params_from_units,
+                       phase_poly, relaxation_rate, spectral_function)
 
 import util
 
@@ -104,6 +104,22 @@ def test_spectral_function_matches_reference_quadrature(params):
         want = util.reference_b2(params, t)
         rel = abs(spectral_function(params, t) - want) / want
         assert rel < (1e-14 if t <= 1e-9 else 5e-14), (t, rel)
+
+
+def test_tiny_dot_separations_are_refused():
+    # the closed form cancels as y = L/(a/sqrt 2) -> 0: at L = 1e-300 nm it
+    # gave the 50 nm value of B^2 and at 1e-6 nm 2.7 times the quadrature
+    a_nm = 3.0
+    for y in (1e-300 / a_nm, 1e-6 / a_nm, 0.999 * MIN_SEPARATION_RATIO):
+        with pytest.raises(ValueError, match="dot_separation must be at "
+                                             "least 0.01 dot_radius"):
+            params_from_units(L_nm=y * a_nm / math.sqrt(2.0), a_nm=a_nm)
+    # just above the limit the closed form keeps to the quadrature
+    params = params_from_units(
+        L_nm=1.001 * MIN_SEPARATION_RATIO * a_nm / math.sqrt(2.0), a_nm=a_nm)
+    for t in np.geomspace(1e-16, 1e-8, 17):
+        want = util.reference_b2(params, t)
+        assert abs(spectral_function(params, t) - want) / want < 1e-10, t
 
 
 def test_dawson_matches_reference_quadrature():

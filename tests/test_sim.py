@@ -1,6 +1,11 @@
 """Gate application, per-wire noise, partial trace, and Choi extraction."""
 import functools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from decoq.sim import (MAX_WIRES, Gate, apply_channel_wire, apply_gate,
 from util import (bell_choi_reference, embed_operator, kraus_sum_on_wire,
                   random_density, random_kraus_channel, reference_choi,
                   tensordot_apply_channel_wire, tensordot_apply_gate,
-                  tensordot_simulate_choi)
+                  tensordot_simulate_choi, transpose_partial_trace)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _ket(bits):
@@ -407,12 +414,12 @@ def test_shor9_fit_points_equal_the_tensordot_composition():
                               tensordot_simulate_choi(code, (ch,) * code.n))
 
 
-def test_shor9_simulation_holds_two_register_arrays():
-    # noise and decode write into the one register; the second array is a
-    # permutation gather's first half or the partial trace's copy
+def test_shor9_simulation_holds_one_register_array():
+    # noise, decode and the partial trace work on the one register; beside
+    # it each worker holds the buffers of one block or row set
     code = _shared_code("shor9")
     ch = from_calibrated_p("depolarizing", 1e-3)
-    simulate_choi(code, ch)             # builds the cached gather indices
+    simulate_choi(code, ch)             # builds the gathers' cached indices
     register = np.dtype(complex).itemsize * 4 ** (code.n + 1)
     tracemalloc.start()
     try:
@@ -420,4 +427,132 @@ def test_shor9_simulation_holds_two_register_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * register + 2 ** 20
+    assert peak <= register + 2 ** 20
+
+
+def _random_matrix(m, rng):
+    dim = 2 ** m
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("cap", ("1", None))
+def test_density_gather_in_place_equals_the_whole_register_gather(
+        monkeypatch, cap):
+    if cap is None:
+        monkeypatch.delenv("DECOM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DECOM_THREADS", cap)
+    rng = np.random.default_rng(41)
+    shor9 = code_by_name("shor9")
+    for m in (8, 9, 10):
+        gates = [Gate("P", tuple(int(w) for w in rng.choice(m, k, False)),
+                      np.eye(2 ** k)[rng.permutation(2 ** k)])
+                 for k in (1, 3, 5)]
+        if m == 8:      # long cycles: a set of their own, wider than a block
+            wide = Gate("P", tuple(range(m)),
+                        np.eye(2 ** m)[rng.permutation(2 ** m)])
+            assert max(map(len, wide.row_sets(m))) > sim.BLOCK_ENTRIES >> m
+            gates.append(wide)
+        if m == 10:
+            gates += [g for g in shor9.decode_gates if g.src is not None]
+        for gate in gates:
+            idx = gate.gather_index(m)
+            sets = gate.row_sets(m)
+            assert np.array_equal(np.sort(np.concatenate(sets)),
+                                  np.arange(2 ** m))
+            for rows in sets:
+                assert np.array_equal(np.sort(idx[rows]), np.sort(rows))
+            rho = _random_matrix(m, rng)
+            want = rho.take(idx, axis=0).take(idx, axis=1)
+            assert np.array_equal(apply_gate(rho, gate), want)
+            apply_gate(rho, gate, out=rho)
+            assert np.array_equal(rho, want)
+
+
+def test_concurrent_split_operations_keep_their_bits(monkeypatch):
+    # four callers at once, more workers than CPUs and than the 8 blocks of
+    # each operation, a short switch interval, and caches of fresh gates
+    # built in the race: no chunk may touch another call's entries or buffers
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(sim, "_pool", None)
+    monkeypatch.delenv("DECOM_THREADS", raising=False)
+    rng = np.random.default_rng(44)
+    m = 8
+    ch = random_kraus_channel(rng)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    gates = (Gate("P", (6, 1, 3, 0), np.eye(16)[rng.permutation(16)]),
+             Gate("U", (2, 7, 4), q))
+    states = [_random_matrix(m, rng) for _ in range(4)]
+    wants = []
+    for rho in states:
+        want = rho
+        for w in range(m):
+            want = tensordot_apply_channel_wire(want, ch.operators, w)
+        for gate in gates:
+            want = tensordot_apply_gate(want, gate)
+        wants.append(want)
+
+    def run(rho):
+        for w in range(m):
+            apply_channel_wire(rho, ch, w, out=rho)
+        for gate in gates:
+            apply_gate(rho, gate, out=rho)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(rho,)) for rho in states]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        sim._executor().shutdown()
+    assert not any(t.is_alive() for t in callers)
+    for rho, want in zip(states, wants):
+        assert np.array_equal(rho, want)
+
+
+def _keeps(m):
+    keeps = {(0, m - 1), (0,), (m - 1,)}
+    if m > 1:
+        keeps.add((1, 0))
+    return sorted(keeps)
+
+
+def test_partial_trace_equals_the_transposed_copy():
+    rng = np.random.default_rng(42)
+    for m in range(2, 11):
+        rho = _random_matrix(m, rng)
+        for keep in _keeps(m):
+            assert np.array_equal(partial_trace(rho, keep),
+                                  transpose_partial_trace(rho, keep))
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_partial_trace_of_shor9_states_equals_the_transposed_copy(
+        monkeypatch, kind):
+    states = []
+    trace = sim.partial_trace
+
+    def recording(rho, keep):
+        states.append(rho.copy())
+        return trace(rho, keep)
+
+    monkeypatch.setattr(sim, "partial_trace", recording)
+    simulate_choi(_shared_code("shor9"), from_calibrated_p(kind, 0.05))
+    (rho,) = states
+    for keep in _keeps(10) + [(0, 9, 4), (3, 7)]:
+        assert np.array_equal(trace(rho, keep),
+                              transpose_partial_trace(rho, keep))
+
+
+def test_importing_the_cli_starts_no_thread():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import threading, decoq.cli; print(threading.active_count())"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"

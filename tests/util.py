@@ -25,6 +25,9 @@ The oracles deliberately avoid the library's own measure implementations:
   contraction ``decoq.sim`` replaced with blocks of one direct ``np.dot``
   each: the same products, so the results must be equal bit for bit, and
   ``tensordot_simulate_choi`` composes them into a whole correction round,
+* ``transpose_partial_trace`` is the partial trace by a transposed copy,
+  the route ``decoq.sim.partial_trace`` replaced with one ``np.einsum`` on
+  the register's view; the sums are the same, so must be the bits,
 * ``reference_b2`` and ``reference_dawson`` evaluate the dephasing integral
   B^2(t) and Dawson's integral by panelized Gauss-Legendre quadrature,
   independently of ``decoq.dqd``'s closed form.
@@ -268,6 +271,21 @@ def tensordot_simulate_choi(code, per_wire):
     for gate in code.decode_gates:
         rho = tensordot_apply_gate(rho, gate)
     return partial_trace(rho, keep=(0, n))
+
+
+def transpose_partial_trace(rho, keep):
+    """Trace out all wires not in ``keep`` by moving the kept axes first,
+    copying, and summing the diagonal of the traced block: the route of
+    ``decoq.sim.partial_trace`` before it summed on the register's own
+    view."""
+    keep = tuple(keep)
+    m = rho.shape[0].bit_length() - 1
+    traced = tuple(w for w in range(m) if w not in keep)
+    order = (keep + traced + tuple(m + w for w in keep)
+             + tuple(m + w for w in traced))
+    nk, nt = 2 ** len(keep), 2 ** len(traced)
+    tens = rho.reshape((2,) * (2 * m)).transpose(order)
+    return np.einsum("atbt->ab", tens.reshape(nk, nt, nk, nt))
 
 
 @functools.lru_cache(maxsize=16)
