@@ -30,7 +30,6 @@ from .channels import chi_to_choi, chi_to_kraus, verify_cptp
 from .codes import CODE_NAMES, UnknownCodeError, code_by_name
 from .decoherence import (is_diagonal, measure_auto, measure_by_definition,
                           measure_diagonal, measure_general)
-from .sim import ThreadCapError
 from .sweep import break_even, fit_poly, sweep
 
 EXIT_OK = 0
@@ -329,8 +328,7 @@ def main(argv=None) -> int:
             return EXIT_RANGE
     try:
         return args.func(args)
-    except (ThreadCapError, UnknownCodeError, noise.UnknownKindError,
-            OSError) as exc:
+    except (UnknownCodeError, noise.UnknownKindError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -57,8 +57,13 @@ def is_diagonal(chi: np.ndarray) -> bool:
     """True when chi is diagonal (a Pauli channel) up to rounding.
 
     The tolerance is relative to the error weight chi_11 + chi_22 + chi_33,
-    of which D is at least 2/3: a weakly damped channel, whose off-diagonal
-    entries are as small as its weight, is not diagonal.
+    of which D is at least 2/3, plus the absolute floor ROUNDOFF_ATOL.  The
+    floor is needed because a simulated shor9 depolarizing channel at
+    p = 1e-6 has off-diagonal round-off of 4.2e-17 against a relative
+    bound of 3.6e-21.  It also admits amplitude damping below
+    gamma t = 4e-15, whose off-diagonal entries are gamma t / 4: there
+    ``measure_auto`` returns the diagonal rule's gamma t / 2, half the
+    true D = gamma t.
     """
     chi = np.asarray(chi)
     weight = abs((chi[1, 1] + chi[2, 2] + chi[3, 3]).real)
@@ -69,13 +74,15 @@ def is_diagonal(chi: np.ndarray) -> bool:
 def measure_diagonal(chi: np.ndarray) -> float:
     """D for a diagonal chi matrix: chi1 + chi2 + chi3 - min(chi1, chi2, chi3).
 
-    Equivalently the largest pairwise sum of the three Pauli weights.
+    Equivalently the largest pairwise sum of the three Pauli weights.  D is
+    a norm, so a sum that round-off leaves below zero (a simulated weight
+    of -1e-17, say) is 0.
     """
     chi = np.asarray(chi)
     if not is_diagonal(chi):
         raise ValueError("chi matrix is not diagonal; use the general measure")
     c1, c2, c3 = chi[1, 1].real, chi[2, 2].real, chi[3, 3].real
-    return c1 + c2 + c3 - min(c1, c2, c3)
+    return max(c1 + c2 + c3 - min(c1, c2, c3), 0.0)
 
 
 def bloch_map(chi: np.ndarray) -> tuple:
@@ -162,11 +169,22 @@ def measure_general(chi: np.ndarray) -> float:
     |K P + u|^2 = P.M P + 2 g.P + |u|^2 over |P| <= 1 is attained at
     P = (lambda I - M)^{-1} g on the unit sphere, lambda >= mu_max; in the
     eigenbasis of M that is the secular equation solved by _ball_argmax.
+
+    D is homogeneous of degree 1 in (K, u).  Below 2^-200, M would square K
+    into subnormals, so a weak channel is solved on (K, u) scaled by a power
+    of two, which is exact, and D is scaled back.
     """
     k, u = _displacement_map(chi)
+    e = 0
+    big = max(np.abs(k).max(), np.abs(u).max())
+    if big < 2.0 ** -200:
+        if big == 0.0:
+            return 0.0
+        e = int(np.frexp(big)[1])
+        k, u = np.ldexp(k, -e), np.ldexp(u, -e)
     mu, v = np.linalg.eigh(k.T @ k)
     p = v @ _ball_argmax(mu, v.T @ (k.T @ u))
-    return float(np.linalg.norm(k @ p + u) / 2.0)
+    return float(np.ldexp(np.linalg.norm(k @ p + u) / 2.0, e))
 
 
 def measure_by_definition(channel: KrausChannel, grid_density: int = 10_000) -> float:

@@ -18,14 +18,6 @@ it they return a new array.  A circuit is a tuple of gates; ``fuse_gates``
 compiles one into maximal permutation runs (composed by index arrays) and
 maximal runs of other gates (one dense block each).
 
-Blocks and row sets touch disjoint entries, so an operation of at least
-SPLIT_MIN_BLOCKS of them is split into contiguous chunks, one per worker
-(``worker_count``: DECOM_THREADS, at most one per CPU): the calling thread
-runs the first and a pool, made on first use, the rest.  Each block goes
-through its own ``np.dot`` wherever it runs, so the result does not depend
-on the split.  Smaller operations run in the calling thread and never read
-DECOM_THREADS.
-
 The main entry point is simulate_choi.  An n-wire code runs on wires
 0..n-1 of an (n+1)-wire register, and the last wire, n, is the reference:
 
@@ -39,9 +31,9 @@ The main entry point is simulate_choi.  An n-wire code runs on wires
   code object, and trace out all but (data, reference) with one
   ``np.einsum`` over the register's (2,)*2m view.
 
-Noise and decode write into the one density matrix the function owns, so a
-run holds one register-sized array and, per worker, buffers of a block or a
-row set.
+Noise and decode write into the one density matrix the function owns, and
+every block and row set runs in the calling thread, one after another, so a
+run holds one register-sized array and the buffers of one block or row set.
 
 The result is the Choi state of the error-corrected logical channel, with the
 noisy (data) factor first.  The superoperator and Choi contractions follow
@@ -50,9 +42,6 @@ Wood, Biamonte & Cory, arXiv:1111.6950.
 from __future__ import annotations
 
 import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +54,6 @@ UNITARY_ATOL = 1e-12
 # writes back at a time; shor9's noise stage took 92, 90, 93, 108 and
 # 142 ms at 2^12 ... 2^16 entries (4 MiB L2, OpenBLAS at 1 thread)
 BLOCK_ENTRIES = 2 ** 13
-# an operation of at least this many blocks or row sets is split over the
-# workers; shor9's noise, dense decode and gathers have 128 each, while every
-# contraction and gather of a register of up to 6 wires is a single block
-SPLIT_MIN_BLOCKS = 8
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _PAULIS_1Q = dict(zip(PAULI_LABELS, PAULI_BASIS))
@@ -180,60 +165,6 @@ def _wire_count_of(state: np.ndarray, ndim: int = 2) -> int:
     return m
 
 
-class ThreadCapError(ValueError):
-    """DECOM_THREADS is set but is not an integer."""
-
-
-def worker_count() -> int:
-    """Threads that share a split operation: DECOM_THREADS, at most one per
-    CPU and at least one; all the CPUs when the variable is unset."""
-    cpus = os.cpu_count() or 1
-    cap = os.environ.get("DECOM_THREADS")
-    try:
-        cap = int(cap) if cap else cpus
-    except ValueError:
-        raise ThreadCapError(
-            f"DECOM_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(cap, cpus))
-
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The block pool, made on first use: one thread per CPU beyond the
-    calling one (it starts a thread per queued chunk while none is idle)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
-                                       thread_name_prefix="decoq-block")
-        return _pool
-
-
-def _spread(work, n_items: int) -> None:
-    """Call ``work(start, stop)`` on contiguous ranges that cover
-    ``range(n_items)``: one range in the calling thread below
-    SPLIT_MIN_BLOCKS items, else one per worker, the first in the calling
-    thread and the others on the pool; no range is empty."""
-    workers = 1
-    if n_items >= SPLIT_MIN_BLOCKS:
-        workers = min(worker_count(), n_items)
-    if workers == 1:
-        work(0, n_items)
-        return
-    edges = [n_items * i // workers for i in range(workers + 1)]
-    pool = _executor()
-    futures = [pool.submit(work, a, b) for a, b in zip(edges[1:-1], edges[2:])]
-    try:
-        work(0, edges[1])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
 def _contract(tens: np.ndarray, op: np.ndarray, axes,
               out: np.ndarray) -> None:
     """Apply ``op`` to the given axes of a tensor with (2,)-sized axes,
@@ -243,9 +174,9 @@ def _contract(tens: np.ndarray, op: np.ndarray, axes,
     leading ones are fixed one block at a time.  Each block's slice is
     copied, acted-on axes first, into a small contiguous array, multiplied
     by one ``np.dot`` and written back to the same positions, so no
-    register-sized temporary is made; the blocks are ``_spread`` over the
-    workers.  Every output column is the product ``np.tensordot(op, tens)``
-    forms, the same ``np.dot`` on the same operands.
+    register-sized temporary is made.  Every output column is the product
+    ``np.tensordot(op, tens)`` forms, the same ``np.dot`` on the same
+    operands.
     """
     rest = [a for a in range(tens.ndim) if a not in axes]
     # log2 of the columns of one block.  OpenBLAS 0.3.31 (Haswell kernels)
@@ -255,18 +186,13 @@ def _contract(tens: np.ndarray, op: np.ndarray, axes,
     lead = len(rest) - cols
     order = rest[:lead] + list(axes) + rest[lead:]
     src, dst = tens.transpose(order), out.transpose(order)
-
-    def work(start, stop):
-        block = np.empty(src.shape[lead:], dtype=complex)
-        prod = np.empty_like(block)
-        a, b = block.reshape(op.shape[1], -1), prod.reshape(op.shape[0], -1)
-        blocks = itertools.product((0, 1), repeat=lead)
-        for idx in itertools.islice(blocks, start, stop):
-            block[...] = src[idx]
-            np.dot(op, a, out=b)
-            dst[idx] = prod
-
-    _spread(work, 1 << lead)
+    block = np.empty(src.shape[lead:], dtype=complex)
+    prod = np.empty_like(block)
+    a, b = block.reshape(op.shape[1], -1), prod.reshape(op.shape[0], -1)
+    for idx in itertools.product((0, 1), repeat=lead):
+        block[...] = src[idx]
+        np.dot(op, a, out=b)
+        dst[idx] = prod
 
 
 def _out_buffer(state: np.ndarray, out) -> np.ndarray:
@@ -309,25 +235,19 @@ def _gather_density(rho: np.ndarray, gate: Gate, m: int,
     ``out`` may be ``rho``.  A register of one block is gathered whole, a
     larger one a row set at a time: the set's source rows are taken into a
     small buffer, their columns gathered into a second, and the result
-    written to the set's rows.  The sets are ``_spread`` over the
-    workers."""
+    written to the set's rows."""
     idx = gate.gather_index(m)
     if rho.size <= BLOCK_ENTRIES:
         rho.take(idx, axis=0).take(idx, axis=1, out=out, mode="clip")
         return
     row_sets = gate.row_sets(m)
-
-    def work(start, stop):
-        sets = row_sets[start:stop]
-        rows = np.empty((max(map(len, sets)), len(idx)), dtype=complex)
-        cols = np.empty_like(rows)
-        for dst in sets:
-            r, c = rows[:len(dst)], cols[:len(dst)]
-            rho.take(idx[dst], axis=0, out=r, mode="clip")
-            r.take(idx, axis=1, out=c, mode="clip")
-            out[dst] = c
-
-    _spread(work, len(row_sets))
+    rows = np.empty((max(map(len, row_sets)), len(idx)), dtype=complex)
+    cols = np.empty_like(rows)
+    for dst in row_sets:
+        r, c = rows[:len(dst)], cols[:len(dst)]
+        rho.take(idx[dst], axis=0, out=r, mode="clip")
+        r.take(idx, axis=1, out=c, mode="clip")
+        out[dst] = c
 
 
 def _register_src(src: np.ndarray, wires, m: int) -> np.ndarray:

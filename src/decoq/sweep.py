@@ -2,11 +2,13 @@
 and break-even location.
 
 For a code/channel pair, ``sweep`` simulates the error-corrected Choi state
-at each requested calibrated probability p and measures D.  Because the
-simulated D(p) of an n-qubit code is an exact polynomial of degree <= n with
-no constant term, ``fit_poly`` recovers the closed-form coefficients by
-solving an exact Vandermonde system (no least squares), and ``break_even``
-finds the smallest p where correction stops helping, i.e. D(p) = p.
+at each requested calibrated probability p and measures D, one point after
+another in the calling thread, which also runs every block of each
+simulation.  Because the simulated D(p) of an n-qubit code is an exact
+polynomial of degree <= n with no constant term, ``fit_poly`` recovers the
+closed-form coefficients by solving an exact Vandermonde system (no least
+squares), and ``break_even`` finds the smallest p where correction stops
+helping, i.e. D(p) = p.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .channels import choi_to_chi
 from .codes import code_by_name
 from .decoherence import measure_auto
 from .noise import family, from_calibrated_p, native_from_calibrated
-from .sim import simulate_choi, worker_count
+from .sim import simulate_choi
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,8 @@ class SweepResult:
 def sweep(code_name: str, channel_kind: str, p_values,
           code=None) -> SweepResult:
     """Measure corrected D at each p, one point after another in the calling
-    thread; a large register's contractions share out their blocks
-    (``sim.worker_count``).  DECOM_THREADS is checked up front, so a
-    malformed value fails before any point for every code."""
+    thread.  Every p is checked against the family's range before the first
+    point is simulated."""
     p_values = [float(p) for p in p_values]
     family(channel_kind)                  # refuses an unknown kind
     if code is None:
@@ -61,7 +62,6 @@ def sweep(code_name: str, channel_kind: str, p_values,
             native_from_calibrated(channel_kind, p)
         except ValueError as exc:
             raise ValueError(f"{channel_kind}: {exc}, got {p!r}") from None
-    worker_count()                        # refuses a malformed DECOM_THREADS
     ds = [measure_auto(choi_to_chi(simulate_choi(
         code, from_calibrated_p(channel_kind, p)))) for p in p_values]
     samples = tuple(sorted(zip(p_values, ds)))

@@ -32,7 +32,6 @@ print(json.dumps(tracer.totals()))
 
 def test_tracer_self_check_and_routes():
     env = dict(os.environ, PYTHONPATH="src")
-    env.pop("DECOM_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", _SCRIPT], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -48,12 +47,10 @@ def test_one_benchmark_round_is_correct(workload):
     # one round, run as shipped, traced and with DECOM_THREADS=1: every job's
     # output against perfbench/reference.json, byte identity across the
     # three variants, and every per-layer metric the workload needs non-zero
-    env = dict(os.environ)
-    env.pop("DECOM_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout

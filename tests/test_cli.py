@@ -365,15 +365,3 @@ def test_non_finite_float_flags_are_range_errors(capsys):
             assert captured.out == ""
             assert captured.err.splitlines() == [
                 f"error: {flag} must be finite, got {float(value)!r}"]
-
-
-def test_malformed_thread_cap_is_a_configuration_error(monkeypatch, capsys):
-    monkeypatch.setenv("DECOM_THREADS", "abc")
-    argv = ["sweep", "--code", "bit3", "--channel", "bit_flip", "--steps", "2"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "DECOM_THREADS" in err
-    assert len(err.splitlines()) == 1
-    for value in ("0", "1"):
-        monkeypatch.setenv("DECOM_THREADS", value)
-        assert main(argv) == 0

@@ -9,7 +9,7 @@ from decoq.decoherence import (bloch_map, fibonacci_sphere, is_diagonal,
                                measure_auto, measure_by_definition,
                                measure_diagonal, measure_general,
                                measure_quadratic)
-from decoq.noise import build_channel, family
+from decoq.noise import build_channel, family, native_from_calibrated
 
 import util
 
@@ -146,6 +146,15 @@ def test_measure_general_amplitude_damping_closed_form():
     for gt in (1e-6, 0.05, 0.3, 1.0, 2.5, 40.0):
         chi = family("amplitude_damping").chi(gt)
         assert abs(measure_general(chi) - (-np.expm1(-gt))) < 1e-14
+
+
+@pytest.mark.parametrize("kind", ("amplitude_damping", "depolarizing"))
+def test_measure_general_keeps_weak_channels_exact(kind):
+    # K^T K of a channel this weak is subnormal or zero, so the solve must
+    # be scaled; D = p for both families
+    for p in (1e-160, 1e-200, 1e-300):
+        chi = family(kind).chi(native_from_calibrated(kind, p))
+        assert measure_general(chi) == pytest.approx(p, rel=1e-12, abs=0.0)
 
 
 def test_measure_by_definition_tracks_dispatch():

@@ -17,7 +17,6 @@ def test_demos_are_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs_cleanly(script):
     env = dict(os.environ, PYTHONPATH="src")
-    env.pop("DECOM_THREADS", None)
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

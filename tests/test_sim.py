@@ -416,7 +416,7 @@ def test_shor9_fit_points_equal_the_tensordot_composition():
 
 def test_shor9_simulation_holds_one_register_array():
     # noise, decode and the partial trace work on the one register; beside
-    # it each worker holds the buffers of one block or row set
+    # it the calling thread holds the buffers of one block or row set
     code = _shared_code("shor9")
     ch = from_calibrated_p("depolarizing", 1e-3)
     simulate_choi(code, ch)             # builds the gathers' cached indices
@@ -435,13 +435,7 @@ def _random_matrix(m, rng):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-@pytest.mark.parametrize("cap", ("1", None))
-def test_density_gather_in_place_equals_the_whole_register_gather(
-        monkeypatch, cap):
-    if cap is None:
-        monkeypatch.delenv("DECOM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DECOM_THREADS", cap)
+def test_density_gather_in_place_equals_the_whole_register_gather():
     rng = np.random.default_rng(41)
     shor9 = code_by_name("shor9")
     for m in (8, 9, 10):
@@ -469,13 +463,10 @@ def test_density_gather_in_place_equals_the_whole_register_gather(
             assert np.array_equal(rho, want)
 
 
-def test_concurrent_split_operations_keep_their_bits(monkeypatch):
-    # four callers at once, more workers than CPUs and than the 8 blocks of
-    # each operation, a short switch interval, and caches of fresh gates
-    # built in the race: no chunk may touch another call's entries or buffers
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
-    monkeypatch.setattr(sim, "_pool", None)
-    monkeypatch.delenv("DECOM_THREADS", raising=False)
+def test_concurrent_split_operations_keep_their_bits():
+    # four callers at once on operations of 8 blocks each, a short switch
+    # interval, and caches of fresh gates built in the race: no call may
+    # touch another call's entries or buffers
     rng = np.random.default_rng(44)
     m = 8
     ch = random_kraus_channel(rng)
@@ -508,7 +499,6 @@ def test_concurrent_split_operations_keep_their_bits(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        sim._executor().shutdown()
     assert not any(t.is_alive() for t in callers)
     for rho, want in zip(states, wants):
         assert np.array_equal(rho, want)
@@ -548,11 +538,24 @@ def test_partial_trace_of_shor9_states_equals_the_transposed_copy(
                               transpose_partial_trace(rho, keep))
 
 
+_THREAD_COUNTS = """
+import threading
+import decoq.cli
+from decoq.codes import code_by_name
+from decoq.noise import from_calibrated_p
+from decoq.sim import simulate_choi
+print(threading.active_count())
+simulate_choi(code_by_name("shor9"), from_calibrated_p("depolarizing", 1e-3))
+print(threading.active_count())
+"""
+
+
 def test_importing_the_cli_starts_no_thread():
+    # nor does a shor9 simulation, whose 10-wire contractions and gathers
+    # have 128 blocks each: every one runs in the calling thread
     env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import threading, decoq.cli; print(threading.active_count())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _THREAD_COUNTS],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n"
+    assert proc.stdout == "1\n1\n"
