@@ -435,7 +435,15 @@ def _random_matrix(m, rng):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-def test_density_gather_in_place_equals_the_whole_register_gather():
+@pytest.mark.parametrize("cap", ("1", None))
+def test_density_gather_in_place_equals_the_whole_register_gather(
+        monkeypatch, cap):
+    # DECOM_THREADS is no longer read: a value left in the environment
+    # must change nothing
+    if cap is None:
+        monkeypatch.delenv("DECOM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DECOM_THREADS", cap)
     rng = np.random.default_rng(41)
     shor9 = code_by_name("shor9")
     for m in (8, 9, 10):
