@@ -135,12 +135,11 @@ def _p_grid(args) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    code = code_by_name(args.code)
+    code_by_name(args.code)                # an unknown code before the grid
     ps = _p_grid(args)
-    result = sweep(args.code, args.channel, ps, code=code)
+    result = sweep(args.code, args.channel, ps)
     rows = ["p,D0,D_corrected"]
-    trivial = code_by_name("none")
-    bare = sweep("none", args.channel, ps, code=trivial)
+    bare = sweep("none", args.channel, ps)
     d0s = dict(bare.samples)
     for p, d in result.samples:
         rows.append(f"{_fmt(p)},{_fmt(d0s[p])},{_fmt(d)}")
@@ -169,9 +168,9 @@ _FIT_POLICY = {
 
 
 def cmd_fit(args) -> int:
-    code = code_by_name(args.code)
+    code_by_name(args.code)                # an unknown code before the policy
     policy = _FIT_POLICY[args.code]
-    result = sweep(args.code, args.channel, policy["points"], code=code)
+    result = sweep(args.code, args.channel, policy["points"])
     poly = fit_poly(result.samples, policy["degree"])
     print(f"code={args.code} channel={args.channel}")
     for i, a in enumerate(poly.coefficients, start=1):
@@ -196,7 +195,8 @@ def cmd_dqd(args) -> int:
                   else dqd_mod.default_params())
     except (OverflowError, ZeroDivisionError):
         raise ValueError(_FLOAT_RANGE) from None
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError,
+            RecursionError) as exc:
         print(f"error: bad params file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _check_steps(args.steps)

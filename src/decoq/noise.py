@@ -8,19 +8,22 @@ decoherence measure D of the bare single-qubit channel.  The calibration
 maps are invertible on the stated ranges, so circuits driven by different
 physical channels can be compared at equal single-qubit error strength.
 
-    kind                native       calibrated p = D0(native)   range of p
-    bit_flip            p in [0,1]   p                           [0, 1]
-    phase_flip          p in [0,1]   p                           [0, 1]
-    depolarizing        p in [0,2/3] p                           [0, 2/3]
-    amplitude_damping   Gamma*t >= 0 1 - exp(-Gamma*t)           [0, 1)
-    phase_damping       B^2 >= 0     (1 - exp(-B^2))/2           [0, 1/2)
+    kind               native        calibrated p       range     X, Y, Z
+    bit_flip           p in [0,1]    p                  [0, 1]    p, 0, 0
+    phase_flip         p in [0,1]    p                  [0, 1]    0, 0, p
+    depolarizing       p in [0,2/3]  p                  [0, 2/3]  p/2 each
+    amplitude_damping  Gamma*t >= 0  1 - exp(-Gamma*t)  [0, 1)    (not Pauli)
+    phase_damping      B^2 >= 0      (1 - exp(-B^2))/2  [0, 1/2)  0, 0, p
 
-Every family's Kraus and chi matrices act in the computational basis.  The
-record names amplitude damping's physical frame (the |+>/|-> eigenbasis of
-the double-dot coupling) as ``frame="plus_minus"``, but the label is not
-applied anywhere, and the frame does change QEC results: the 3-qubit
-bit-flip code under amplitude damping at Gamma*t = 0.05 gives D = 0.0363
-with the matrices as they are and 0.0701 with them conjugated by a Hadamard.
+``_pauli`` builds the four Pauli families from their X, Y, Z error weights
+at calibrated p (the last column) alone, so phase damping *is* phase flip at
+its calibrated p (Nielsen & Chuang, section 8.3.6).
+
+Every family's Kraus and chi matrices act in the computational basis.
+Amplitude damping's physical frame (the |+>/|-> eigenbasis of the double-dot
+coupling) is only a label, ``frame="plus_minus"``, though the frame changes
+QEC results: the 3-qubit bit-flip code under amplitude damping at
+Gamma*t = 0.05 gives D = 0.0363 as is and 0.0701 conjugated by a Hadamard.
 """
 from __future__ import annotations
 
@@ -31,6 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .channels import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, KrausChannel
+
+_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -54,15 +59,26 @@ class Family:
     frame: str = "computational"
 
 
-def _diag(*weights) -> np.ndarray:
-    return np.diag(weights).astype(complex)
+def _pauli(weights, calibrate, **fields) -> Family:
+    """The family of Pauli channels with X, Y, Z error weights ``weights(p)``
+    at calibrated p: Kraus operators the identity, with what the errors
+    leave, then one Pauli per nonzero weight; chi the diagonal of weights."""
+    def kraus(x):
+        w = weights(calibrate(x))
+        return (math.sqrt(max(1.0 - sum(w), 0.0)) * PAULI_I,
+                *(math.sqrt(v) * op for v, op in zip(w, _PAULIS) if v))
+
+    def chi(x):
+        w = weights(calibrate(x))
+        return np.diag((1.0 - sum(w), *w)).astype(complex)
+    return Family(kraus, chi, calibrate, **fields)
 
 
-def _depolarizing_kraus(p: float) -> tuple:
-    """Isotropic Pauli noise with total error weight p (each axis p/2)."""
-    w = np.sqrt(max(1.0 - 1.5 * p, 0.0))
-    h = np.sqrt(p / 2.0)
-    return (w * PAULI_I, h * PAULI_X, h * PAULI_Y, h * PAULI_Z)
+def _identity_calibrated(weights, cap, span, slack=0.0) -> Family:
+    """A Pauli family whose native p, in [0, cap + slack], is calibrated p."""
+    return _pauli(weights, float, invert=float, native_top=cap + slack,
+                  native_msg=f"p must lie in {span}", cap=cap, cap_open=False,
+                  p_msg=f"calibrated p must lie in {span}")
 
 
 def _amplitude_damping_kraus(gamma_t: float) -> tuple:
@@ -86,35 +102,13 @@ def _amplitude_damping_chi(gamma_t: float) -> np.ndarray:
     return chi
 
 
-def _phase_damping_kraus(b_sq: float) -> tuple:
-    """Pure dephasing with exponent B^2: identity plus two projector terms."""
-    keep = math.exp(-b_sq)
-    leak = math.sqrt(-math.expm1(-b_sq))
-    return (math.sqrt(keep) * PAULI_I, leak * _diag(1.0, 0.0),
-            leak * _diag(0.0, 1.0))
-
-
 FAMILIES = {
-    "bit_flip": Family(
-        kraus=lambda p: (np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * PAULI_X),
-        chi=lambda p: _diag(1.0 - p, p, 0.0, 0.0),
-        calibrate=float, invert=float,
-        native_top=1.0, native_msg="p must lie in [0, 1]",
-        cap=1.0, cap_open=False, p_msg="calibrated p must lie in [0, 1]"),
-    "phase_flip": Family(
-        kraus=lambda p: (np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * PAULI_Z),
-        chi=lambda p: _diag(1.0 - p, 0.0, 0.0, p),
-        calibrate=float, invert=float,
-        native_top=1.0, native_msg="p must lie in [0, 1]",
-        cap=1.0, cap_open=False, p_msg="calibrated p must lie in [0, 1]"),
-    "depolarizing": Family(
-        kraus=_depolarizing_kraus,
-        chi=lambda p: _diag(1.0 - 1.5 * p, p / 2.0, p / 2.0, p / 2.0),
-        calibrate=float, invert=float,
-        # complete positivity ends at 2/3, allowed with room for rounding
-        native_top=2.0 / 3.0 + 1e-15, native_msg="p must lie in [0, 2/3]",
-        cap=2.0 / 3.0, cap_open=False,
-        p_msg="calibrated p must lie in [0, 2/3]"),
+    "bit_flip": _identity_calibrated(lambda p: (p, 0.0, 0.0), 1.0, "[0, 1]"),
+    "phase_flip": _identity_calibrated(lambda p: (0.0, 0.0, p), 1.0,
+                                       "[0, 1]"),
+    # complete positivity ends at 2/3, allowed with room for rounding
+    "depolarizing": _identity_calibrated(lambda p: (p / 2.0,) * 3, 2.0 / 3.0,
+                                         "[0, 2/3]", slack=1e-15),
     "amplitude_damping": Family(
         kraus=_amplitude_damping_kraus, chi=_amplitude_damping_chi,
         calibrate=lambda x: -math.expm1(-x),
@@ -122,11 +116,9 @@ FAMILIES = {
         native_top=math.inf, native_msg="gamma_t must be >= 0",
         cap=1.0, cap_open=True, p_msg="calibrated p must lie in [0, 1)",
         frame="plus_minus"),
-    "phase_damping": Family(
-        kraus=_phase_damping_kraus,
-        chi=lambda x: _diag((1.0 + math.exp(-x)) / 2.0, 0.0, 0.0,
-                            -math.expm1(-x) / 2.0),
-        calibrate=lambda x: -math.expm1(-x) / 2.0,
+    # phase flip at its calibrated p
+    "phase_damping": _pauli(
+        lambda p: (0.0, 0.0, p), lambda x: -math.expm1(-x) / 2.0,
         invert=lambda p: -math.log1p(-2.0 * p),
         native_top=math.inf, native_msg="b_sq must be >= 0",
         cap=0.5, cap_open=True, p_msg="calibrated p must lie in [0, 1/2)"),

@@ -16,7 +16,8 @@ into a small buffer and written back in place.  ``apply_gate`` and
 ``apply_channel_wire`` write into ``out=``, which may be the input; without
 it they return a new array.  A circuit is a tuple of gates; ``fuse_gates``
 compiles one into maximal permutation runs (composed by index arrays) and
-maximal runs of other gates (one dense block each).
+maximal runs of other gates (one dense block each).  A fused permutation
+run is held as its index alone, with no matrix.
 
 The main entry point is simulate_choi.  An n-wire code runs on wires
 0..n-1 of an (n+1)-wire register, and the last wire, n, is the reference:
@@ -64,12 +65,14 @@ class Gate:
     """A unitary acting on an ordered tuple of wires.
 
     ``src`` is set when the matrix is a permutation (0/1 entries, one 1 in
-    each row and column): ``matrix[i, src[i]] == 1``.
+    each row and column): ``matrix[i, src[i]] == 1``.  A permutation may be
+    given by ``src`` alone, a permutation of range(2^k); its matrix is then
+    None, since ``apply_gate`` only gathers.
     """
     name: str
     wires: tuple
-    matrix: np.ndarray
-    src: np.ndarray | None = field(default=None, init=False, repr=False)
+    matrix: np.ndarray | None = None
+    src: np.ndarray | None = field(default=None, repr=False)
     _gathers: dict = field(default_factory=dict, init=False, repr=False)
     _row_sets: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -78,8 +81,18 @@ class Gate:
         object.__setattr__(self, "wires", wires)
         if len(set(wires)) != len(wires):
             raise ValueError(f"gate {self.name}: repeated wire in {wires}")
-        mat = np.array(self.matrix, dtype=complex)
         dim = 2 ** len(wires)
+        if self.src is not None:
+            src = np.array(self.src)
+            # in Python: np.sort would map 0.2 MB of numpy's sort kernels
+            if (self.matrix is not None or src.dtype.kind not in "iu"
+                    or sorted(src.tolist()) != list(range(dim))):
+                raise ValueError(f"gate {self.name}: src is not a permutation "
+                                 f"of range({dim}) given without a matrix")
+            src.setflags(write=False)
+            object.__setattr__(self, "src", src)
+            return
+        mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"gate {self.name}: matrix shape {mat.shape} "
                              f"does not match {len(wires)} wires")
@@ -349,16 +362,18 @@ def fuse_gates(gates) -> tuple:
     for is_perm, run in runs:
         run = tuple(run)
         wires = tuple(sorted({w for g in run for w in g.wires}))
-        local = tuple(Gate(g.name, tuple(wires.index(w) for w in g.wires),
-                           g.matrix) for g in run)
+        name = "+".join(g.name for g in run)
+        local = [tuple(wires.index(w) for w in g.wires) for g in run]
         if is_perm:
             src = np.arange(2 ** len(wires))
-            for g in local:
-                src = src[_register_src(g.src, g.wires, len(wires))]
-            matrix = np.eye(len(src))[src]
+            for g, on in zip(run, local):
+                src = src[_register_src(g.src, on, len(wires))]
+            fused.append(Gate(name, wires, src=src))
         else:
-            matrix = circuit_unitary(local, len(wires))
-        fused.append(Gate("+".join(g.name for g in run), wires, matrix))
+            block = tuple(Gate(g.name, on, g.matrix)
+                          for g, on in zip(run, local))
+            fused.append(Gate(name, wires,
+                              circuit_unitary(block, len(wires))))
     return tuple(fused)
 
 

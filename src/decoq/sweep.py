@@ -48,15 +48,13 @@ class SweepResult:
     samples: tuple                 # ((p, D), ...) sorted by p
 
 
-def sweep(code_name: str, channel_kind: str, p_values,
-          code=None) -> SweepResult:
+def sweep(code_name: str, channel_kind: str, p_values) -> SweepResult:
     """Measure corrected D at each p, one point after another in the calling
     thread.  Every p is checked against the family's range before the first
     point is simulated."""
     p_values = [float(p) for p in p_values]
     family(channel_kind)                  # refuses an unknown kind
-    if code is None:
-        code = code_by_name(code_name)
+    code = code_by_name(code_name)
     for p in p_values:
         try:
             native_from_calibrated(channel_kind, p)

@@ -303,6 +303,19 @@ def test_dqd_tiny_dot_separation_is_a_bad_params_file(tmp_path, capsys):
                                "be at least 0.01 dot_radius/sqrt(2)")
 
 
+def test_dqd_deeply_nested_params_is_a_bad_params_file(tmp_path, capsys):
+    # the JSON decoder recurses once per level of nesting
+    path = tmp_path / "deep.json"
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["dqd", "--params", str(path), "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: bad params file: maximum recursion")
+
+
 def test_steps_above_the_cap_are_range_errors(capsys):
     steps = str(MAX_STEPS + 1)
     for argv in (["sweep", "--code", "bit3", "--channel", "bit_flip"],

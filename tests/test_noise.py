@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from decoq.channels import kraus_to_chi, kraus_to_choi, verify_cptp
+from decoq.channels import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kraus_to_chi,
+                            kraus_to_choi, verify_cptp)
+from decoq.codes import code_by_name
 from decoq.decoherence import measure_auto
 from decoq.noise import (CHANNEL_KINDS, FAMILIES, UnknownKindError,
                          build_channel, family, from_calibrated_p,
                          native_from_calibrated)
+from decoq.sim import simulate_choi
 from decoq.sweep import sweep
 
 # each family's native and calibrated range messages, its cap and whether
@@ -82,6 +85,63 @@ def test_channels_are_cptp_inside_their_ranges():
             assert rep.trace_preserving and rep.completely_positive
             tau = kraus_to_choi(build_channel(kind, nat))
             assert np.linalg.eigvalsh(tau).min() > -1e-12
+
+
+def _same_operators(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_phase_damping_is_phase_flip_at_its_calibrated_p():
+    rng = np.random.default_rng(190)
+    damping, flip = family("phase_damping"), family("phase_flip")
+    for b_sq in [*rng.uniform(0.0, 5.0, 30), *10.0 ** rng.uniform(-15, 0, 10),
+                 0.0, 40.0]:
+        p = damping.calibrate(b_sq)
+        assert np.array_equal(damping.chi(b_sq), flip.chi(p)), b_sq
+        assert _same_operators(damping.kraus(b_sq), flip.kraus(p)), b_sq
+    for name in ("shor5", "shor9"):
+        code = code_by_name(name)
+        b_sq = float(rng.uniform(0.0, 1.0))
+        assert np.array_equal(
+            simulate_choi(code, build_channel("phase_damping", b_sq)),
+            simulate_choi(code, build_channel("phase_flip",
+                                              damping.calibrate(b_sq))))
+
+
+# the closed forms the flip and depolarizing families had when each was
+# written out on its own; `decoq fit` prints shor9's depolarizing
+# break-even from a cubic's extrapolation, which moves at 1e-9 when D moves
+# by about 4e-15, so these bits must not move
+_WRITTEN_OUT = {
+    "bit_flip": (
+        lambda p: (np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * PAULI_X),
+        lambda p: np.diag([1.0 - p, p, 0.0, 0.0])),
+    "phase_flip": (
+        lambda p: (np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * PAULI_Z),
+        lambda p: np.diag([1.0 - p, 0.0, 0.0, p])),
+    "depolarizing": (
+        lambda p: (np.sqrt(max(1.0 - 1.5 * p, 0.0)) * PAULI_I,
+                   *(np.sqrt(p / 2.0) * op
+                     for op in (PAULI_X, PAULI_Y, PAULI_Z))),
+        lambda p: np.diag([1.0 - 1.5 * p, p / 2.0, p / 2.0, p / 2.0])),
+}
+
+
+def test_flip_and_depolarizing_forms_keep_their_bits():
+    rng = np.random.default_rng(191)
+    for kind, (kraus, chi) in _WRITTEN_OUT.items():
+        fam = family(kind)
+        ps = [*rng.uniform(0.0, fam.cap, 40), *10.0 ** rng.uniform(-15, 0, 10),
+              5e-4, 1e-3, 2e-3, 1e-15, fam.cap, fam.native_top]
+        for p in ps:
+            if p <= fam.native_top:
+                assert _same_operators(fam.kraus(p), kraus(p)), (kind, p)
+            assert np.array_equal(fam.chi(p), chi(p)), (kind, p)
+        # the chi that `decoq channel` reports outside the range, and at 0
+        for p in (0.0, -0.1, 1.3):
+            assert np.array_equal(fam.chi(p), chi(p)), (kind, p)
+        assert _same_operators(fam.kraus(0.0), (PAULI_I,))
 
 
 def test_calibration_equals_the_bare_measure():

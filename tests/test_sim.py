@@ -14,7 +14,8 @@ from decoq import sim
 from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             kraus_to_choi, maximally_entangled)
 from decoq.cli import _FIT_POLICY
-from decoq.codes import CODE_NAMES, QecCode, code_by_name, trivial_code
+from decoq.codes import (CODE_NAMES, QecCode, code_by_name, shor9_code,
+                         trivial_code)
 from decoq.noise import CHANNEL_KINDS, build_channel, from_calibrated_p
 from decoq.sim import (MAX_WIRES, Gate, apply_channel_wire, apply_gate,
                        circuit_unitary, cnot, cz, fuse_gates, hadamard,
@@ -295,6 +296,25 @@ def test_permutation_gates_are_gathers_equal_to_the_contraction():
             assert np.abs(apply_gate(rho, gate) - want).max() == 0.0
 
 
+def test_a_gate_given_by_its_index_gathers_like_its_matrix_or_refuses_it():
+    rng = np.random.default_rng(46)
+    perm = rng.permutation(8)
+    gate = Gate("P", (2, 0, 3), src=perm)
+    assert gate.matrix is None and np.array_equal(gate.src, perm)
+    assert not gate.src.flags.writeable
+    dense = Gate("P", (2, 0, 3), np.eye(8)[perm])
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    assert np.array_equal(apply_gate(psi, gate), apply_gate(psi, dense))
+    rho = random_density(16, rng)
+    assert np.array_equal(apply_gate(rho, gate), apply_gate(rho, dense))
+    for src in ([0, 1, 2, 3, 4, 5, 6, 6], np.arange(4), np.arange(16),
+                np.arange(8.0), np.arange(8).reshape(2, 4), perm + 1):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Gate("P", (2, 0, 3), src=src)
+    with pytest.raises(ValueError, match="without a matrix"):
+        Gate("P", (2, 0, 3), np.eye(8)[perm], src=perm)
+
+
 def test_fuse_gates_keeps_the_circuit():
     rng = np.random.default_rng(22)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -303,6 +323,7 @@ def test_fuse_gates_keeps_the_circuit():
     fused = fuse_gates(gates)
     assert [g.wires for g in fused] == [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3)]
     assert [g.src is not None for g in fused] == [True, False, True]
+    assert [g.matrix is None for g in fused] == [True, False, True]
     want = circuit_unitary(gates, 4)
     assert np.abs(circuit_unitary(fused, 4) - want).max() < 1e-15
     assert fuse_gates(()) == ()
@@ -428,6 +449,23 @@ def test_shor9_simulation_holds_one_register_array():
     finally:
         tracemalloc.stop()
     assert peak <= register + 2 ** 20
+
+
+def test_a_fresh_shor9_build_and_first_simulation_hold_one_register():
+    # a fused permutation run is held as its index alone: building the
+    # code's fused circuits makes no 512 x 512 matrix, so the first run
+    # peaks at one register, and the code then holds almost nothing
+    ch = from_calibrated_p("depolarizing", 1e-3)
+    register = np.dtype(complex).itemsize * 4 ** 10
+    tracemalloc.start()
+    try:
+        code = shor9_code()
+        simulate_choi(code, ch)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= register + 2 ** 20
+    assert held <= 2 ** 20
 
 
 def _random_matrix(m, rng):

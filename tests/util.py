@@ -235,12 +235,16 @@ def _tensordot_contract(tens, op, axes):
 
 
 def tensordot_apply_gate(state, gate):
-    """psi -> U psi or rho -> U rho U^dag by tensor contraction."""
+    """psi -> U psi or rho -> U rho U^dag by tensor contraction; a gate
+    given by its permutation index alone contracts that index's matrix."""
     m = state.shape[0].bit_length() - 1
+    matrix = gate.matrix
+    if matrix is None:
+        matrix = np.eye(len(gate.src), dtype=complex)[gate.src]
     tens = _tensordot_contract(state.reshape((2,) * (state.ndim * m)),
-                               gate.matrix, gate.wires)
+                               matrix, gate.wires)
     if state.ndim == 2:
-        tens = _tensordot_contract(tens, gate.matrix.conj(),
+        tens = _tensordot_contract(tens, matrix.conj(),
                                    tuple(m + w for w in gate.wires))
     return tens.reshape(state.shape)
 
