@@ -47,24 +47,35 @@ class KrausChannel:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
+        ops = tuple(self.operators)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        for op in ops:
-            if op.shape != (2, 2):
-                raise ValueError("Kraus operators must be 2x2: channels act "
-                                 "on one qubit")
-            op.setflags(write=False)
-        comp = sum(op.conj().T @ op for op in ops)
-        if np.abs(comp - np.eye(2)).max() > TP_ATOL:
+        try:
+            stack = np.array(ops, dtype=complex)
+        except ValueError:          # operators of different shapes
+            stack = None
+        if stack is None or stack.shape[1:] != (2, 2):
+            raise ValueError("Kraus operators must be 2x2: channels act "
+                             "on one qubit")
+        comp = np.einsum("kji,kjl->il", stack.conj(), stack)
+        # written so that a NaN or infinite entry fails the test too
+        if not np.abs(comp - PAULI_I).max() <= TP_ATOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
-        object.__setattr__(self, "operators", ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "operators", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @cached_property
     def superop(self) -> np.ndarray:
         """S = sum_k K_k (x) K_k^*, acting on row-major supervectors:
-        vec(sum_k K_k rho K_k^dag) = S vec(rho).  Built once, read-only."""
-        superop = sum(np.kron(op, op.conj()) for op in self.operators)
+        vec(sum_k K_k rho K_k^dag) = S vec(rho).  Built once, read-only.
+        One broadcast product forms every term S_k[2i + k, 2j + l] =
+        K_k[i, j] K_k^*[k, l] as ``np.kron`` does, and one reduction adds
+        them to 0 in order, as ``sum`` of the krons does, so the bits
+        (signed zeros too) are those of the summed krons."""
+        ops = self._stack
+        terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
+        superop = np.add.reduce(terms, axis=0, initial=0).reshape(4, 4)
         superop.setflags(write=False)
         return superop
 
@@ -118,9 +129,11 @@ def chi_to_kraus(chi: np.ndarray) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-# the Pauli supervectors vec(E_a), one per row
+# the Pauli supervectors vec(E_a), one per row, and their conjugates
 _PAULI_VECS = np.array([e.reshape(-1) for e in PAULI_BASIS])
+_PAULI_VECS_CONJ = _PAULI_VECS.conj()
 _PAULI_VECS.setflags(write=False)
+_PAULI_VECS_CONJ.setflags(write=False)
 
 
 def chi_to_choi(chi: np.ndarray) -> np.ndarray:
@@ -140,7 +153,7 @@ def choi_to_chi(tau: np.ndarray) -> np.ndarray:
     if tau.shape != (4, 4):
         raise ValueError("Choi state must be 4x4 for a qubit channel")
     # Pauli supervectors have norm^2 = 2, so <<E_a| (2 tau) |E_b>> / 4 = chi_ab
-    return (_PAULI_VECS.conj() @ (2.0 * tau) @ _PAULI_VECS.T) / 4.0
+    return (_PAULI_VECS_CONJ @ (2.0 * tau) @ _PAULI_VECS.T) / 4.0
 
 
 def kraus_to_choi(channel: KrausChannel) -> np.ndarray:

@@ -104,7 +104,7 @@ def cmd_channel(args) -> int:
         return EXIT_OK
 
     if is_diagonal(chi):
-        print(f"D (diagonal rule):    {_fmt(measure_diagonal(np.diag(np.diag(chi))))}")
+        print(f"D (diagonal rule):    {_fmt(measure_diagonal(chi))}")
     print(f"D (secular equation): {_fmt(measure_general(chi))}")
     print(f"D (dispatch):         {_fmt(measure_auto(chi))}")
     grid = measure_by_definition(chi_to_kraus(chi), grid_density=20000)

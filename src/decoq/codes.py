@@ -27,6 +27,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import sim
 from .sim import (Gate, apply_gate, cnot, cz, fuse_gates, hadamard,
                   pauli_gate, toffoli)
 
@@ -64,6 +65,19 @@ class QecCode:
         """The decoder, fused."""
         return fuse_gates(self.decoder)
 
+    @cached_property
+    def encoded_state(self) -> np.ndarray:
+        """The encoder run on a maximally entangled pair of the data wire
+        and a reference wire n, ancillas |0>: the (n+1)-wire state vector
+        ``simulate_choi`` starts from, built once (through
+        ``sim.apply_gate``) and read-only."""
+        psi = np.zeros(2 ** (self.n + 1), dtype=complex)
+        psi[0] = psi[(1 << self.n) + 1] = 1.0 / np.sqrt(2.0)
+        for gate in self.encode_gates:
+            sim.apply_gate(psi, gate, out=psi)
+        psi.setflags(write=False)
+        return psi
+
 
 def build_recovery(n: int, encoder, corrects) -> Gate:
     """Synthesize the recovery block unitary by error enumeration.
@@ -92,7 +106,7 @@ def build_recovery(n: int, encoder, corrects) -> Gate:
             columns.append(psi0 if err is None
                            else apply_gate(psi0, pauli_gate(*err)))
     v = np.stack(columns, axis=1)
-    if np.abs(v.conj().T @ v - np.eye(dim)).max() > RECOVERY_ORTHO_ATOL:
+    if not np.abs(v.conj().T @ v - np.eye(dim)).max() <= RECOVERY_ORTHO_ATOL:
         raise ValueError("corrupted codewords are not orthonormal; "
                          "the declared errors are not all correctable")
     return Gate("R", tuple(range(n)), v.conj().T)

@@ -40,6 +40,7 @@ NEWTON_MAX_ITER = 100  # secular-equation solves take at most about a dozen
 # contracted with chi_ab it gives the Bloch component i of E(s_j / 2).
 _PAULI_TRACES = 0.5 * np.einsum("ixy,ayz,jzw,bwx->iajb",
                                 *[np.array(PAULI_BASIS)] * 4)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -67,7 +68,7 @@ def is_diagonal(chi: np.ndarray) -> bool:
     """
     chi = np.asarray(chi)
     weight = abs((chi[1, 1] + chi[2, 2] + chi[3, 3]).real)
-    off = np.abs(chi - np.diag(np.diag(chi))).max()
+    off = np.abs(chi[_OFF_DIAGONAL]).max()
     return bool(off <= DIAG_RTOL * weight + ROUNDOFF_ATOL)
 
 
@@ -76,12 +77,17 @@ def measure_diagonal(chi: np.ndarray) -> float:
 
     Equivalently the largest pairwise sum of the three Pauli weights.  D is
     a norm, so a sum that round-off leaves below zero (a simulated weight
-    of -1e-17, say) is 0.
+    of -1e-17, say) is 0.  ``chi`` is the 4x4 matrix, which is checked with
+    ``is_diagonal``, or its diagonal alone (as ``measure_auto`` passes it,
+    having checked the matrix).
     """
     chi = np.asarray(chi)
-    if not is_diagonal(chi):
-        raise ValueError("chi matrix is not diagonal; use the general measure")
-    c1, c2, c3 = chi[1, 1].real, chi[2, 2].real, chi[3, 3].real
+    if chi.ndim == 2:
+        if not is_diagonal(chi):
+            raise ValueError("chi matrix is not diagonal; use the general "
+                             "measure")
+        chi = np.diag(chi)
+    c1, c2, c3 = chi[1].real, chi[2].real, chi[3].real
     return max(c1 + c2 + c3 - min(c1, c2, c3), 0.0)
 
 
@@ -222,11 +228,11 @@ def measure_auto(chi: np.ndarray) -> float:
     set on this module (a tracer, say) sees every dispatch.
     """
     chi = np.asarray(chi, dtype=complex)
-    tr = np.trace(chi).real
+    tr = chi.trace().real
     if abs(tr) > 1e-8 and abs(tr - 1.0) > 1e-14:
         chi = chi / tr
     if is_diagonal(chi):
-        return measure_diagonal(np.diag(np.diag(chi)))
+        return measure_diagonal(np.diag(chi))
     if _is_unital(*_displacement_map(chi)):
         return measure_quadratic(chi)
     return measure_general(chi)

@@ -139,13 +139,18 @@ def family(kind: str) -> Family:
         raise UnknownKindError(f"unknown channel kind {kind!r}") from None
 
 
-def native_from_calibrated(kind: str, p: float) -> float:
-    """Invert the calibration map; raises if p is outside the invertible range."""
+def check_calibrated(kind: str, p: float) -> None:
+    """Raise ValueError unless p lies in the family's calibrated range."""
     fam = family(kind)
     if not (0.0 <= p < fam.cap if fam.cap_open
             else 0.0 <= p <= fam.native_top):
         raise ValueError(fam.p_msg)
-    return fam.invert(p)
+
+
+def native_from_calibrated(kind: str, p: float) -> float:
+    """Invert the calibration map; raises if p is outside the invertible range."""
+    check_calibrated(kind, p)
+    return FAMILIES[kind].invert(p)
 
 
 def build_channel(kind: str, native: float) -> KrausChannel:

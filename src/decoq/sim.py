@@ -6,28 +6,38 @@ index).  Gates act on one, two, three, or a block of wires.  A gate whose
 matrix is a permutation (X, CNOT, Toffoli, or a fused run of them) is
 applied as an exact index gather; the gate caches that index once per
 register size up to MAX_WIRES.  Every other gate, and every channel's
-superoperator, is applied in place, one block of BLOCK_ENTRIES entries at a
-time: the block's slice of the state's (2,)*m or (2,)*2m view is copied
-with the acted-on axes first into a small buffer, multiplied by one
-``np.dot``, and written back to the same positions.  A gather on a density
-matrix of more than one block runs one row set at a time: each set is whole
-cycles of the permutation, so its rows are gathered (rows, then columns)
-into a small buffer and written back in place.  ``apply_gate`` and
-``apply_channel_wire`` write into ``out=``, which may be the input; without
-it they return a new array.  A circuit is a tuple of gates; ``fuse_gates``
-compiles one into maximal permutation runs (composed by index arrays) and
-maximal runs of other gates (one dense block each).  A fused permutation
-run is held as its index alone, with no matrix.
+superoperator, is applied in place by ``_contract``, which takes a sequence
+of steps (an op and the axes it acts on) and runs consecutive steps in one
+pass over the state, one block of about BLOCK_ENTRIES entries at a time:
+the block's slice of the state's (2,)*m or (2,)*2m view is copied, the
+steps' axes first, into a small buffer, each step is one ``np.matmul``
+(batched over the axes of the steps before it), and the result is written
+back to the same positions.  A density matrix's row and column sides of a
+gate are two steps, and so are two wires of one channel.  A pass splits
+where a step's products would have fewer than four columns or fewer
+columns than its op has rows.  Each pass's layout is planned once per
+(tensor rank, axes).  A gather on a density matrix of more than one block
+runs one row set at a time: each set is whole cycles of the permutation,
+so its rows are gathered (rows, then columns) into a small buffer and
+written back in place.  ``apply_gate`` and ``apply_channel_wire`` write
+into ``out=``, which may be the input; without it they return a new array.
+A circuit is a tuple of gates; ``fuse_gates`` compiles one into maximal
+permutation runs (composed by index arrays) and maximal runs of other gates
+(one dense block each).  A fused permutation run is held as its index
+alone, with no matrix.
 
 The main entry point is simulate_choi.  An n-wire code runs on wires
 0..n-1 of an (n+1)-wire register, and the last wire, n, is the reference:
 
-* encode -- run the code's fused encoder (QecCode.encode_gates) on the pure
-  state vector of a maximally entangled pair (code data wire 0, reference
-  wire n), then form its density matrix once;
-* noise  -- apply a single-qubit channel to every code wire, each as one
-  contraction of its 4x4 superoperator (KrausChannel.superop, built once per
-  channel) on the wire's (row, column) axes;
+* encode -- the code's encoded pair state (QecCode.encoded_state: the fused
+  encoder run through ``apply_gate`` on a maximally entangled pair of code
+  data wire 0 and reference wire n), built once per code object; each run
+  forms its density matrix;
+* noise  -- apply a single-qubit channel to every code wire by its 4x4
+  superoperator (KrausChannel.superop, built once per channel) on the
+  wire's (row, column) axes; a run of up to NOISE_GROUP consecutive wires
+  that share one channel object is one ``apply_channel_wire`` call and one
+  pass;
 * decode -- apply the fused decoder (QecCode.decode_gates), built once per
   code object, and trace out all but (data, reference) with one
   ``np.einsum`` over the register's (2,)*2m view.
@@ -35,6 +45,8 @@ The main entry point is simulate_choi.  An n-wire code runs on wires
 Noise and decode write into the one density matrix the function owns, and
 every block and row set runs in the calling thread, one after another, so a
 run holds one register-sized array and the buffers of one block or row set.
+Every step's output is, bit for bit, what ``np.tensordot`` of its op with
+the whole state gives, so grouping and blocking change no output bit.
 
 The result is the Choi state of the error-corrected logical channel, with the
 noisy (data) factor first.  The superoperator and Choi contractions follow
@@ -42,6 +54,7 @@ Wood, Biamonte & Cory, arXiv:1111.6950.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -55,6 +68,12 @@ UNITARY_ATOL = 1e-12
 # writes back at a time; shor9's noise stage took 92, 90, 93, 108 and
 # 142 ms at 2^12 ... 2^16 entries (4 MiB L2, OpenBLAS at 1 thread)
 BLOCK_ENTRIES = 2 ** 13
+# wires per noise pass of simulate_choi: a group of g wires puts 4^g rows in
+# each block, so three leave a block of BLOCK_ENTRIES 2^7 columns.  Over
+# three runs (OpenBLAS at 1 thread, 2 vCPUs), shor9's noise stage took
+# 67-88 ms a wire at a time, 53-60 ms in pairs, 42-58 ms in threes,
+# 51-68 ms in fours and 59-77 ms in fives
+NOISE_GROUP = 3
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _PAULIS_1Q = dict(zip(PAULI_LABELS, PAULI_BASIS))
@@ -102,8 +121,12 @@ class Gate:
             src = ones.argmax(axis=1)       # a permutation is exactly unitary
             src.setflags(write=False)
             object.__setattr__(self, "src", src)
-        elif np.abs(mat.conj().T @ mat - np.eye(dim)).max() > UNITARY_ATOL:
-            raise ValueError(f"gate {self.name}: matrix is not unitary")
+        else:
+            # written so that a NaN or infinite entry fails the test too
+            with np.errstate(all="ignore"):
+                err = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
+            if not err <= UNITARY_ATOL:
+                raise ValueError(f"gate {self.name}: matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -111,8 +134,7 @@ class Gate:
         """A permutation gate's source index over an m-wire register
         (``_register_src``), read-only.  It is kept once per register size
         up to MAX_WIRES, the simulator's registers; a larger one (only the
-        2m-wire vectors of ``circuit_unitary`` reach it) is built per call.
-        Threads that race to build it all return the one stored first."""
+        2m-wire vectors of ``circuit_unitary`` reach it) is built per call."""
         idx = self._gathers.get(m)
         if idx is None:
             idx = _register_src(self.src, self.wires, m)
@@ -178,34 +200,88 @@ def _wire_count_of(state: np.ndarray, ndim: int = 2) -> int:
     return m
 
 
-def _contract(tens: np.ndarray, op: np.ndarray, axes,
-              out: np.ndarray) -> None:
-    """Apply ``op`` to the given axes of a tensor with (2,)-sized axes,
-    writing into ``out``: the same shape, and it may be ``tens`` itself.
-
-    The other axes, in order, index the columns of the product, and their
-    leading ones are fixed one block at a time.  Each block's slice is
-    copied, acted-on axes first, into a small contiguous array, multiplied
-    by one ``np.dot`` and written back to the same positions, so no
-    register-sized temporary is made.  Every output column is the product
-    ``np.tensordot(op, tens)`` forms, the same ``np.dot`` on the same
-    operands.
-    """
-    rest = [a for a in range(tens.ndim) if a not in axes]
+def _layout(ndim: int, axes_seq: tuple, block_entries: int):
+    """The layout of one pass over a tensor of ``ndim`` (2,)-sized axes:
+    the transposition order that puts the axes fixed per block first, then
+    every step's axes in step order, then the column axes; the number of
+    fixed axes; and each step's (batch, rows, columns) product shape.
+    None when a batched step's products would have fewer columns than
+    four or than its op's rows."""
+    union = [a for axes in axes_seq for a in axes]
+    rest = [a for a in range(ndim) if a not in union]
     # log2 of the columns of one block.  OpenBLAS 0.3.31 (Haswell kernels)
     # gives a column the bits of the whole product in blocks of 4, 8, ...
     # columns, but not of one or two, so a block has at least four
-    cols = min(len(rest), max(2, BLOCK_ENTRIES.bit_length() - 1 - len(axes)))
+    cols = min(len(rest),
+               max(2, block_entries.bit_length() - 1 - len(union)))
+    shapes, done = [], 0
+    for axes in axes_seq:
+        if done and len(union) - done - len(axes) + cols < max(2, len(axes)):
+            return None
+        shapes.append((2 ** done, 2 ** len(axes), -1))
+        done += len(axes)
     lead = len(rest) - cols
-    order = rest[:lead] + list(axes) + rest[lead:]
-    src, dst = tens.transpose(order), out.transpose(order)
-    block = np.empty(src.shape[lead:], dtype=complex)
-    prod = np.empty_like(block)
-    a, b = block.reshape(op.shape[1], -1), prod.reshape(op.shape[0], -1)
-    for idx in itertools.product((0, 1), repeat=lead):
-        block[...] = src[idx]
-        np.dot(op, a, out=b)
-        dst[idx] = prod
+    # The order of the columns changes no bit.  Runs of consecutive axes
+    # go longest last, so that the copies move long strided runs: on
+    # shor9, wires 6-8 leave the runs (10..15) and (19), and this order
+    # took their copies in and out from 9.1 + 8.2 to 5.0 + 5.7 ms
+    runs = []
+    for a in rest[lead:]:
+        if runs and runs[-1][-1] == a - 1:
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    runs.sort(key=len)
+    order = rest[:lead] + union + [a for run in runs for a in run]
+    return tuple(order), lead, tuple(shapes)
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(ndim: int, axes_seq: tuple, block_entries: int) -> tuple:
+    """The passes of ``_contract``: consecutive steps share a pass while
+    ``_layout`` allows it, and each pass is (its step count, its layout).
+    On shor5's 32x32 recovery, rows and columns in one pass (the columns
+    as 32 products of four columns) took 115 us against 87 us in two."""
+    passes = []
+    for axes in axes_seq:
+        if passes and _layout(ndim, passes[-1] + (axes,), block_entries):
+            passes[-1] += (axes,)
+        else:
+            passes.append((axes,))
+    return tuple((len(p), *_layout(ndim, p, block_entries)) for p in passes)
+
+
+def _contract(tens: np.ndarray, ops: tuple, axes_seq: tuple,
+              out: np.ndarray) -> None:
+    """Apply the step ``ops[i]`` to the axes ``axes_seq[i]``, for each i in
+    turn, to a tensor with (2,)-sized axes, writing into ``out``: the same
+    shape, and it may be ``tens`` itself.  The steps act on disjoint axes.
+
+    Steps run in as few passes as ``_plan`` allows.  In a pass, the axes no
+    step acts on index the columns of the products, and their leading ones
+    are fixed one block at a time.  Each block's slice is copied into a
+    small contiguous array with the steps' axes first, in step order; each
+    step is then one ``np.matmul`` between two such arrays, batched over
+    the axes of the steps before it, and the last result is written back
+    to the block's positions, so no register-sized temporary is made.
+    Every product has at least four columns (unless the tensor has fewer
+    axes to spare), and every output column of a step is the product
+    ``np.tensordot(op, tens)`` forms on the same operands.
+    """
+    for count, order, lead, shapes in _plan(tens.ndim, axes_seq,
+                                            BLOCK_ENTRIES):
+        pass_ops, ops = ops[:count], ops[count:]
+        src, dst = tens.transpose(order), out.transpose(order)
+        block = np.empty(src.shape[lead:], dtype=complex)
+        spare = np.empty_like(block)
+        for idx in itertools.product((0, 1), repeat=lead):
+            block[...] = src[idx]
+            a, b = block, spare
+            for op, shape in zip(pass_ops, shapes):
+                np.matmul(op, a.reshape(shape), out=b.reshape(shape))
+                a, b = b, a
+            dst[idx] = a
+        tens = out
 
 
 def _out_buffer(state: np.ndarray, out) -> np.ndarray:
@@ -290,31 +366,40 @@ def apply_gate(state: np.ndarray, gate: Gate, *,
         else:
             state.take(gate.gather_index(m), out=out, mode="clip")
         return out
-    shape = (2,) * (state.ndim * m)
-    tens = out.reshape(shape)
-    _contract(state.reshape(shape), gate.matrix, gate.wires, tens)
+    ops, axes_seq = (gate.matrix,), (gate.wires,)
     if state.ndim == 2:
-        _contract(tens, gate.matrix.conj(), tuple(m + w for w in gate.wires),
-                  tens)
+        ops += (gate.matrix.conj(),)
+        axes_seq += (tuple(m + w for w in gate.wires),)
+    shape = (2,) * (state.ndim * m)
+    _contract(state.reshape(shape), ops, axes_seq, out.reshape(shape))
     return out
 
 
-def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wire: int, *,
+def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wires, *,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Apply a single-qubit Kraus channel to one wire of the register,
-    writing into ``out`` (which may be ``rho``) or, when it is None, into a
-    new array; returns it.
+    """Apply a single-qubit Kraus channel to each of ``wires`` (one wire,
+    or a tuple of distinct wires) of the register, writing into ``out``
+    (which may be ``rho``) or, when it is None, into a new array; returns
+    it.
 
     The Kraus sum is folded into the superoperator S = sum_k K (x) K^*
-    (``channel.superop``), which acts on the wire's row and column axes in
-    one contraction.
+    (``channel.superop``), which acts on each wire's row and column axes.
+    The wires' contractions run, in the order given, in as few blocked
+    passes as ``_contract`` allows, bit for bit what one call per wire
+    gives.
     """
     m = _wire_count_of(rho)
-    _check_wires((wire,), m)
+    try:
+        wires = tuple(wires)
+    except TypeError:
+        wires = (wires,)
+    _check_wires(wires, m)
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"repeated wire in {wires}")
     out = _out_buffer(rho, out)
     shape = (2,) * (2 * m)
-    _contract(rho.reshape(shape), channel.superop, (wire, m + wire),
-              out.reshape(shape))
+    _contract(rho.reshape(shape), (channel.superop,) * len(wires),
+              tuple((w, m + w) for w in wires), out.reshape(shape))
     return out
 
 
@@ -327,13 +412,18 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     _check_wires(keep, m)
     if len(set(keep)) != len(keep):
         raise ValueError("repeated wire in keep list")
-    # a traced wire's row and column axes share a label, so einsum sums
-    # their diagonal on the register's own view, with no transposed copy
-    labels = list(range(m)) + [m + w if w in keep else w for w in range(m)]
-    kept = list(keep) + [m + w for w in keep]
     nk = 2 ** len(keep)
-    return np.einsum(rho.reshape((2,) * (2 * m)), labels,
-                     kept).reshape(nk, nk)
+    return np.einsum(rho.reshape((2,) * (2 * m)),
+                     *_trace_labels(m, keep)).reshape(nk, nk)
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_labels(m: int, keep: tuple) -> tuple:
+    """The einsum labels of ``partial_trace``: a traced wire's row and
+    column axes share a label, so einsum sums their diagonal on the
+    register's own view, with no transposed copy."""
+    labels = list(range(m)) + [m + w if w in keep else w for w in range(m)]
+    return labels, list(keep) + [m + w for w in keep]
 
 
 def circuit_unitary(gates, m: int) -> np.ndarray:
@@ -399,17 +489,17 @@ def simulate_choi(code, noise) -> np.ndarray:
             raise ValueError(f"need one channel per code wire ({n}), "
                              f"got {len(per_wire)}")
 
-    # |Omega> on (data=0, reference=n), ancillas |0>
-    psi = np.zeros(2 ** m, dtype=complex)
-    psi[0] = psi[(1 << n) + 1] = 1.0 / np.sqrt(2.0)
-    for gate in code.encode_gates:
-        apply_gate(psi, gate, out=psi)
-    rho = np.outer(psi, psi.conj())
-
-    # rho is this function's own, so noise and decode write into it
-    for w, ch in enumerate(per_wire):
+    rho = np.outer(code.encoded_state, code.encoded_state.conj())
+    # rho is this function's own, so noise and decode write into it; a run
+    # of wires that share a channel is one pass of up to NOISE_GROUP wires
+    start = 0
+    while start < n:
+        ch, end = per_wire[start], start + 1
+        while end < min(n, start + NOISE_GROUP) and per_wire[end] is ch:
+            end += 1
         if ch is not None:
-            apply_channel_wire(rho, ch, w, out=rho)
+            apply_channel_wire(rho, ch, tuple(range(start, end)), out=rho)
+        start = end
 
     for gate in code.decode_gates:
         apply_gate(rho, gate, out=rho)

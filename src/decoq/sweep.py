@@ -19,7 +19,7 @@ import numpy as np
 from .channels import choi_to_chi
 from .codes import code_by_name
 from .decoherence import measure_auto
-from .noise import family, from_calibrated_p, native_from_calibrated
+from .noise import check_calibrated, family, from_calibrated_p
 from .sim import simulate_choi
 
 
@@ -57,7 +57,7 @@ def sweep(code_name: str, channel_kind: str, p_values) -> SweepResult:
     code = code_by_name(code_name)
     for p in p_values:
         try:
-            native_from_calibrated(channel_kind, p)
+            check_calibrated(channel_kind, p)
         except ValueError as exc:
             raise ValueError(f"{channel_kind}: {exc}, got {p!r}") from None
     ds = [measure_auto(choi_to_chi(simulate_choi(

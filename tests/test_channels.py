@@ -6,7 +6,7 @@ from decoq.channels import (PAULI_BASIS, PAULI_X, KrausChannel,
                             chi_from_parameters, chi_to_choi, chi_to_kraus,
                             choi_to_chi, kraus_to_chi, kraus_to_choi,
                             maximally_entangled, verify_cptp)
-from decoq.noise import family
+from decoq.noise import FAMILIES, family, from_calibrated_p
 
 import util
 from util import (apply_channel, apply_chi, bloch_density, devectorize,
@@ -144,6 +144,28 @@ def test_kraus_completeness_enforced():
                 (np.ones(2),)):
         with pytest.raises(ValueError, match="must be 2x2"):
             KrausChannel(ops)
+
+
+def test_kraus_operators_with_nan_or_inf_are_refused():
+    # the completeness test fails on NaN or inf instead of passing it by
+    for value in (np.nan, np.inf, -np.inf):
+        for ops in ((np.full((2, 2), value),),
+                    (PAULI_BASIS[0], np.diag([0.0, value]))):
+            with pytest.raises(ValueError, match="completeness"):
+                KrausChannel(ops)
+
+
+def test_superop_keeps_the_bits_of_summed_krons():
+    # signed zeros too: at p = 0 and on the Pauli operators' zero entries
+    for kind, fam in FAMILIES.items():
+        top = fam.cap * (1.0 - 1e-12) if fam.cap_open else fam.native_top
+        for p in [*np.linspace(0.0, top, 50), 1e-15, 5e-4, 1e-3, 2e-3]:
+            ch = from_calibrated_p(kind, float(p))
+            want = sum(np.kron(op, op.conj()) for op in ch.operators)
+            got = ch.superop
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.view(float)),
+                                  np.signbit(want.view(float)))
 
 
 def test_chi_to_kraus_rejects_non_psd():

@@ -167,6 +167,21 @@ def test_measure_by_definition_tracks_dispatch():
         measure_by_definition(build_channel("bit_flip", 0.1), grid_density=4)
 
 
+def test_measure_diagonal_takes_the_matrix_or_its_diagonal():
+    for chi in (np.diag([0.7, 0.2, 0.06, 0.04]).astype(complex),
+                family("depolarizing").chi(0.1)):
+        assert measure_diagonal(np.diag(chi)) == measure_diagonal(chi)
+
+
+def test_measure_auto_tests_diagonality_once(monkeypatch):
+    calls = []
+    test = decoherence.is_diagonal
+    monkeypatch.setattr(decoherence, "is_diagonal",
+                        lambda chi: calls.append(1) or test(chi))
+    assert measure_auto(family("bit_flip").chi(0.3)) == 0.3
+    assert calls == [1]
+
+
 def test_measure_auto_dispatch_routes(monkeypatch):
     # each route is looked up as a module global at call time
     calls = []

@@ -14,8 +14,8 @@ from decoq import sim
 from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             kraus_to_choi, maximally_entangled)
 from decoq.cli import _FIT_POLICY
-from decoq.codes import (CODE_NAMES, QecCode, code_by_name, shor9_code,
-                         trivial_code)
+from decoq.codes import (CODE_NAMES, QecCode, code_by_name, phase_flip_code,
+                         shor9_code, trivial_code)
 from decoq.noise import CHANNEL_KINDS, build_channel, from_calibrated_p
 from decoq.sim import (MAX_WIRES, Gate, apply_channel_wire, apply_gate,
                        circuit_unitary, cnot, cz, fuse_gates, hadamard,
@@ -77,6 +77,12 @@ def test_controlled_gates():
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("bad", (0,), np.array([[1, 1], [0, 1]], dtype=complex))
+    # NaN and inf fail the unitarity test rather than slip past it
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not unitary"):
+            Gate("U", (0,), np.full((2, 2), value))
+        with pytest.raises(ValueError, match="not unitary"):
+            Gate("U", (0,), np.diag([1.0, value]))
     # 0/1 entries but not a permutation: still checked for unitarity
     with pytest.raises(ValueError, match="not unitary"):
         Gate("bad", (0,), np.array([[1, 1], [0, 0]], dtype=complex))
@@ -223,6 +229,33 @@ def _check_contractions(rng):
         _check_against(lambda s, **kw: apply_channel_wire(s, ch, wire, **kw),
                        rho.copy(),
                        tensordot_apply_channel_wire(rho, ch.operators, wire))
+
+
+@pytest.mark.parametrize("block", (sim.BLOCK_ENTRIES, 4))
+def test_a_wire_group_equals_one_call_per_wire(monkeypatch, block):
+    # one pass over a group gives the bits of one pass per wire, with
+    # blocks of 2^13 entries (one block of all 6 wires) and of 4 (the
+    # smallest blocks, of four columns each)
+    monkeypatch.setattr(sim, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(35)
+    ch = random_kraus_channel(rng)
+    rho = random_density(64, rng)
+    for wires in ((0, 1, 2), (3, 4, 5), (5, 0, 3), (2, 4)):
+        want, oracle = rho, rho
+        for w in wires:
+            want = apply_channel_wire(want, ch, w)
+            oracle = tensordot_apply_channel_wire(oracle, ch.operators, w)
+        assert np.array_equal(want, oracle)
+        _check_against(lambda s, **kw: apply_channel_wire(s, ch, wires, **kw),
+                       rho.copy(), want)
+
+
+def test_a_wire_group_refuses_a_repeated_or_missing_wire():
+    rho = random_density(8, np.random.default_rng(36))
+    ch = build_channel("depolarizing", 0.1)
+    for wires in ((0, 1, 0), (1, 1), (0, 3), (-1,)):
+        with pytest.raises(ValueError):
+            apply_channel_wire(rho, ch, wires)
 
 
 def test_out_must_be_a_contiguous_complex_array_of_the_state_shape():
@@ -433,6 +466,69 @@ def test_shor9_fit_points_equal_the_tensordot_composition():
         ch = from_calibrated_p("depolarizing", p)
         assert np.array_equal(simulate_choi(code, ch),
                               tensordot_simulate_choi(code, (ch,) * code.n))
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in CODE_NAMES for kind in CHANNEL_KINDS
+    # shor9 depolarizing is the test above
+    if (name, kind) != ("shor9", "depolarizing")])
+def test_simulate_choi_equals_the_tensordot_composition(name, kind):
+    # shor9 runs at the points its fit uses
+    code = _shared_code(name)
+    points = (_FIT_POLICY["shor9"]["points"] if name == "shor9"
+              else (0.0, 0.05, 0.3))
+    for p in points:
+        ch = from_calibrated_p(kind, p)
+        assert np.array_equal(simulate_choi(code, ch),
+                              tensordot_simulate_choi(code, (ch,) * code.n))
+
+
+def test_noise_groups_split_at_none_and_at_another_channel(monkeypatch):
+    # two channels with equal operators are still two objects: a group is
+    # a run of wires that share one object, at most NOISE_GROUP long
+    code = _shared_code("shor9")
+    a = from_calibrated_p("depolarizing", 0.1)
+    b = from_calibrated_p("depolarizing", 0.1)
+    per_wire = (a, a, None, b, b, b, b, a, None)
+    calls = []
+    apply = sim.apply_channel_wire
+
+    def recording(rho, channel, wires, **kw):
+        calls.append((channel, wires))
+        return apply(rho, channel, wires, **kw)
+
+    monkeypatch.setattr(sim, "apply_channel_wire", recording)
+    got = simulate_choi(code, per_wire)
+    assert [(ch is a, wires) for ch, wires in calls] == [
+        (True, (0, 1)), (False, (3, 4, 5)), (False, (6,)), (True, (7,))]
+    assert np.array_equal(got, tensordot_simulate_choi(code, per_wire))
+
+
+def test_a_second_simulation_runs_only_the_decoder(monkeypatch):
+    # the encoded pair state is built once per code object, through
+    # apply_gate, and then read; every later run applies the decoder alone
+    code = phase_flip_code()
+    code.encode_gates, code.decode_gates     # fused through apply_gate too
+    calls = []
+    apply = sim.apply_gate
+
+    def counting(state, gate, **kw):
+        calls.append(state.ndim)
+        return apply(state, gate, **kw)
+
+    monkeypatch.setattr(sim, "apply_gate", counting)
+    ch = from_calibrated_p("depolarizing", 0.1)
+    first = simulate_choi(code, ch)
+    assert calls == ([1] * len(code.encode_gates)
+                     + [2] * len(code.decode_gates))
+    del calls[:]
+    assert np.array_equal(simulate_choi(code, ch), first)
+    assert calls == [2] * len(code.decode_gates)
+    psi = code.encoded_state
+    assert psi is code.encoded_state and not psi.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        psi[0] = 0.0
+    assert psi.nbytes == 16 * 2 ** (code.n + 1)
 
 
 def test_shor9_simulation_holds_one_register_array():

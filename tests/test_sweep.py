@@ -1,4 +1,6 @@
 """Sweeps, exact polynomial fits, break-even."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ def test_sweep_range_and_name_checks():
         sweep("bit3", "gauss", (0.1,))
     with pytest.raises(ValueError):
         sweep("steane", "bit_flip", (0.1,))
+
+
+def test_sweep_inverts_each_calibration_once(monkeypatch):
+    # the range check before the first point does not invert p; each
+    # point's channel does, once
+    calls = []
+    fam = FAMILIES["phase_damping"]
+    monkeypatch.setitem(FAMILIES, "phase_damping", dataclasses.replace(
+        fam, invert=lambda p: calls.append(p) or fam.invert(p)))
+    sweep("bit3", "phase_damping", (0.1, 0.3, 0.2))
+    assert calls == [0.1, 0.3, 0.2]
+    with pytest.raises(ValueError, match="got 0.5"):
+        sweep("bit3", "phase_damping", (0.1, 0.5))
+    assert calls == [0.1, 0.3, 0.2]
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
