@@ -19,12 +19,10 @@ nan or infinite values of any float flag, a --steps above MAX_STEPS, and a
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
-from . import dqd as dqd_mod
 from . import noise
 from .channels import chi_to_choi, chi_to_kraus, verify_cptp
 from .codes import CODE_NAMES, UnknownCodeError, code_by_name
@@ -190,6 +188,11 @@ _FLOAT_RANGE = "the device parameters leave floating-point range"
 
 
 def cmd_dqd(args) -> int:
+    # only this command needs the device model (and json): the other
+    # commands start without them
+    import json
+
+    from . import dqd as dqd_mod
     try:
         params = (dqd_mod.load_params(args.params) if args.params
                   else dqd_mod.default_params())

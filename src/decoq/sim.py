@@ -42,11 +42,25 @@ The main entry point is simulate_choi.  An n-wire code runs on wires
   code object, and trace out all but (data, reference) with one
   ``np.einsum`` over the register's (2,)*2m view.
 
+Each noise pass and decode gate computes only the entries a later stage
+reads, its read set (``decoq.reads``, derived backward from the trace once
+per code and noise grouping and passed as ``reads=``): a pass whose read
+set depends on its column axes computes only the columns that hold a read
+entry, taking runs of them by their flat positions into a block, with the
+same products of four or more columns; a gather copies only the read
+entries, through one small buffer so that it still works in place.  Every
+other entry is left stale, and no later stage reads it.  On shor9 the
+first noise pass computes the whole register, the second a quarter, the
+third a sixteenth and the dense decode block (H on wires 0, 3 and 6) a
+sixty-fourth; the gathers copy 2^14 and 2^12 of its 2^20 entries.  A
+register of one block (up to 6 wires) is computed whole.
+
 Noise and decode write into the one density matrix the function owns, and
 every block and row set runs in the calling thread, one after another, so a
 run holds one register-sized array and the buffers of one block or row set.
-Every step's output is, bit for bit, what ``np.tensordot`` of its op with
-the whole state gives, so grouping and blocking change no output bit.
+Every computed step output is, bit for bit, what ``np.tensordot`` of its op
+with the whole state gives, so grouping, blocking and skipping change no
+output bit.
 
 The result is the Choi state of the error-corrected logical channel, with the
 noisy (data) factor first.  The superoperator and Choi contractions follow
@@ -57,10 +71,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import PAULI_BASIS, PAULI_LABELS, KrausChannel
+
+if TYPE_CHECKING:
+    from .reads import ReadSet
 
 MAX_WIRES = 11
 UNITARY_ATOL = 1e-12
@@ -239,20 +257,22 @@ def _layout(ndim: int, axes_seq: tuple, block_entries: int):
 @functools.lru_cache(maxsize=256)
 def _plan(ndim: int, axes_seq: tuple, block_entries: int) -> tuple:
     """The passes of ``_contract``: consecutive steps share a pass while
-    ``_layout`` allows it, and each pass is (its step count, its layout).
-    On shor5's 32x32 recovery, rows and columns in one pass (the columns
-    as 32 products of four columns) took 115 us against 87 us in two."""
+    ``_layout`` allows it, and each pass is (its step count, its layout,
+    None: every column is computed).  On shor5's 32x32 recovery, rows and
+    columns in one pass (the columns as 32 products of four columns) took
+    115 us against 87 us in two."""
     passes = []
     for axes in axes_seq:
         if passes and _layout(ndim, passes[-1] + (axes,), block_entries):
             passes[-1] += (axes,)
         else:
             passes.append((axes,))
-    return tuple((len(p), *_layout(ndim, p, block_entries)) for p in passes)
+    return tuple((len(p), *_layout(ndim, p, block_entries), None)
+                 for p in passes)
 
 
 def _contract(tens: np.ndarray, ops: tuple, axes_seq: tuple,
-              out: np.ndarray) -> None:
+              out: np.ndarray, reads: ReadSet | None = None) -> None:
     """Apply the step ``ops[i]`` to the axes ``axes_seq[i]``, for each i in
     turn, to a tensor with (2,)-sized axes, writing into ``out``: the same
     shape, and it may be ``tens`` itself.  The steps act on disjoint axes.
@@ -267,21 +287,47 @@ def _contract(tens: np.ndarray, ops: tuple, axes_seq: tuple,
     Every product has at least four columns (unless the tensor has fewer
     axes to spare), and every output column of a step is the product
     ``np.tensordot(op, tens)`` forms on the same operands.
+
+    With ``reads``, the read set of the output, a pass whose output's read
+    set depends on its column axes computes only the columns that hold a
+    read entry (``ReadSet.passes``): a block is then a run of those
+    columns, taken from their flat positions, with the same products of
+    at least four columns.
     """
-    for count, order, lead, shapes in _plan(tens.ndim, axes_seq,
-                                            BLOCK_ENTRIES):
+    passes = _plan(tens.ndim, axes_seq, BLOCK_ENTRIES)
+    if reads is not None:
+        passes = reads.passes(axes_seq, passes, BLOCK_ENTRIES)
+    for count, order, lead, shapes, columns in passes:
         pass_ops, ops = ops[:count], ops[count:]
-        src, dst = tens.transpose(order), out.transpose(order)
-        block = np.empty(src.shape[lead:], dtype=complex)
-        spare = np.empty_like(block)
-        for idx in itertools.product((0, 1), repeat=lead):
-            block[...] = src[idx]
-            a, b = block, spare
-            for op, shape in zip(pass_ops, shapes):
-                np.matmul(op, a.reshape(shape), out=b.reshape(shape))
-                a, b = b, a
-            dst[idx] = a
+        if columns is None:
+            src, dst = tens.transpose(order), out.transpose(order)
+            block = np.empty(src.shape[lead:], dtype=complex)
+            spare = np.empty_like(block)
+            for idx in itertools.product((0, 1), repeat=lead):
+                block[...] = src[idx]
+                dst[idx] = _steps(pass_ops, shapes, block, spare)
+        else:
+            rows, chunks = columns
+            src, dst = tens.reshape(-1), out.reshape(-1)
+            pos = np.empty((len(rows), chunks.shape[1]), dtype=np.intp)
+            block = np.empty(pos.shape, dtype=complex)
+            spare = np.empty_like(block)
+            for cols in chunks:
+                np.add(rows, cols, out=pos)
+                src.take(pos, out=block, mode="clip")
+                dst[pos] = _steps(pass_ops, shapes, block, spare)
         tens = out
+
+
+def _steps(ops: tuple, shapes: tuple, block: np.ndarray,
+           spare: np.ndarray) -> np.ndarray:
+    """A pass's steps on one block, each one ``np.matmul`` from one of the
+    two buffers into the other; returns the buffer that holds the last."""
+    a, b = block, spare
+    for op, shape in zip(ops, shapes):
+        np.matmul(op, a.reshape(shape), out=b.reshape(shape))
+        a, b = b, a
+    return a
 
 
 def _out_buffer(state: np.ndarray, out) -> np.ndarray:
@@ -310,6 +356,8 @@ def _cycle_sets(idx: np.ndarray, width: int) -> tuple:
             seen[j] = True
             cycle.append(j)
             j = src[j]
+        if not cycle:
+            continue
         if rows and len(rows) + len(cycle) > width:
             sets.append(np.array(rows))
             rows = []
@@ -318,13 +366,18 @@ def _cycle_sets(idx: np.ndarray, width: int) -> tuple:
     return tuple(sets)
 
 
-def _gather_density(rho: np.ndarray, gate: Gate, m: int,
-                    out: np.ndarray) -> None:
+def _gather_density(rho: np.ndarray, gate: Gate, m: int, out: np.ndarray,
+                    reads: ReadSet | None = None) -> None:
     """``out = rho[idx][:, idx]`` with the gate's index over m wires;
     ``out`` may be ``rho``.  A register of one block is gathered whole, a
     larger one a row set at a time: the set's source rows are taken into a
     small buffer, their columns gathered into a second, and the result
-    written to the set's rows."""
+    written to the set's rows.  With ``reads``, only the entries it holds
+    are gathered, all into one small buffer before any is written."""
+    if reads is not None:
+        dst, src = reads.gather(gate, m)
+        out.reshape(-1)[dst] = rho.reshape(-1).take(src)
+        return
     idx = gate.gather_index(m)
     if rho.size <= BLOCK_ENTRIES:
         rho.take(idx, axis=0).take(idx, axis=1, out=out, mode="clip")
@@ -348,21 +401,31 @@ def _register_src(src: np.ndarray, wires, m: int) -> np.ndarray:
     return np.moveaxis(idx, range(k), wires).reshape(-1)
 
 
+def _check_reads(reads, ndim: int):
+    if reads is not None and reads.ndim != ndim:
+        raise ValueError(f"the read set has {reads.ndim} axes, the state "
+                         f"{ndim}")
+
+
 def apply_gate(state: np.ndarray, gate: Gate, *,
-               out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None,
+               reads: ReadSet | None = None) -> np.ndarray:
     """Apply the gate to a state vector (psi -> U psi) or conjugate a density
     matrix by it (rho -> U rho U^dag), writing into ``out`` (which may be
     ``state``) or, when it is None, into a new array; returns it.  A
     permutation gate is an index gather, bit for bit what the contraction
-    gives (every product is with 0 or 1)."""
+    gives (every product is with 0 or 1).  With ``reads``, a ReadSet of the
+    density matrix's (2,)*2m view, only the output entries it holds are
+    sure to be computed; the others may be left as ``out`` held them."""
     m = _wire_count_of(state, state.ndim)
     _check_wires(gate.wires, m)
+    _check_reads(reads, state.ndim * m)
     out = _out_buffer(state, out)
     if gate.src is not None:
         # the indices are a permutation, so "clip" clips nothing; it lets
         # take write into out without a hidden temporary
         if state.ndim == 2:
-            _gather_density(state, gate, m, out)
+            _gather_density(state, gate, m, out, reads)
         else:
             state.take(gate.gather_index(m), out=out, mode="clip")
         return out
@@ -371,12 +434,13 @@ def apply_gate(state: np.ndarray, gate: Gate, *,
         ops += (gate.matrix.conj(),)
         axes_seq += (tuple(m + w for w in gate.wires),)
     shape = (2,) * (state.ndim * m)
-    _contract(state.reshape(shape), ops, axes_seq, out.reshape(shape))
+    _contract(state.reshape(shape), ops, axes_seq, out.reshape(shape), reads)
     return out
 
 
 def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wires, *,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None,
+                       reads: ReadSet | None = None) -> np.ndarray:
     """Apply a single-qubit Kraus channel to each of ``wires`` (one wire,
     or a tuple of distinct wires) of the register, writing into ``out``
     (which may be ``rho``) or, when it is None, into a new array; returns
@@ -386,7 +450,8 @@ def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wires, *,
     (``channel.superop``), which acts on each wire's row and column axes.
     The wires' contractions run, in the order given, in as few blocked
     passes as ``_contract`` allows, bit for bit what one call per wire
-    gives.
+    gives.  With ``reads``, only the output entries it holds are sure to
+    be computed, as in ``apply_gate``.
     """
     m = _wire_count_of(rho)
     try:
@@ -396,10 +461,11 @@ def apply_channel_wire(rho: np.ndarray, channel: KrausChannel, wires, *,
     _check_wires(wires, m)
     if len(set(wires)) != len(wires):
         raise ValueError(f"repeated wire in {wires}")
+    _check_reads(reads, 2 * m)
     out = _out_buffer(rho, out)
     shape = (2,) * (2 * m)
     _contract(rho.reshape(shape), (channel.superop,) * len(wires),
-              tuple((w, m + w) for w in wires), out.reshape(shape))
+              tuple((w, m + w) for w in wires), out.reshape(shape), reads)
     return out
 
 
@@ -489,18 +555,30 @@ def simulate_choi(code, noise) -> np.ndarray:
             raise ValueError(f"need one channel per code wire ({n}), "
                              f"got {len(per_wire)}")
 
-    rho = np.outer(code.encoded_state, code.encoded_state.conj())
-    # rho is this function's own, so noise and decode write into it; a run
-    # of wires that share a channel is one pass of up to NOISE_GROUP wires
-    start = 0
+    # a run of wires that share a channel is one pass of up to NOISE_GROUP
+    # wires
+    groups, start = [], 0
     while start < n:
         ch, end = per_wire[start], start + 1
         while end < min(n, start + NOISE_GROUP) and per_wire[end] is ch:
             end += 1
         if ch is not None:
-            apply_channel_wire(rho, ch, tuple(range(start, end)), out=rho)
+            groups.append((ch, tuple(range(start, end))))
         start = end
+    gates = code.decode_gates
+    if 4 ** m > BLOCK_ENTRIES:
+        # imported here: a job on registers of one block never loads it
+        from .reads import stage_reads
+        noise_reads, decode_reads = stage_reads(
+            gates, m, tuple(wires for _, wires in groups))
+    else:       # one block: nothing to skip
+        noise_reads, decode_reads = (None,) * len(groups), (None,) * len(gates)
 
-    for gate in code.decode_gates:
-        apply_gate(rho, gate, out=rho)
+    # rho is this function's own, so noise and decode write into it, each
+    # stage only the entries a later one reads
+    rho = np.outer(code.encoded_state, code.encoded_state.conj())
+    for (ch, wires), reads in zip(groups, noise_reads):
+        apply_channel_wire(rho, ch, wires, out=rho, reads=reads)
+    for gate, reads in zip(gates, decode_reads):
+        apply_gate(rho, gate, out=rho, reads=reads)
     return partial_trace(rho, keep=(0, n))

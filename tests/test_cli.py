@@ -1,14 +1,20 @@
 """Exit codes, CSV determinism, and report content of the command line tool."""
 import argparse
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from decoq.cli import MAX_STEPS, build_parser, main
 from decoq.noise import FAMILIES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_channel_report(capsys):
@@ -378,3 +384,36 @@ def test_non_finite_float_flags_are_range_errors(capsys):
             assert captured.out == ""
             assert captured.err.splitlines() == [
                 f"error: {flag} must be finite, got {float(value)!r}"]
+
+
+_LAZY_LOADS = """
+import sys
+import decoq.sweep, decoq.cli
+print("decoq.dqd" in sys.modules, "json" in sys.modules)
+import decoq
+print(decoq.sweep is decoq.cli.sweep, callable(decoq.sweep))
+from decoq import DqdParams, spectral_function
+import decoq.dqd as dqd
+print(DqdParams is dqd.DqdParams,
+      decoq.spectral_function is dqd.spectral_function, decoq.dqd is dqd)
+from decoq.codes import code_by_name
+from decoq.noise import from_calibrated_p
+from decoq.sim import simulate_choi
+for name in ("shor5", "shor9"):
+    simulate_choi(code_by_name(name), from_calibrated_p("depolarizing", 0.1))
+    print("decoq.reads" in sys.modules)
+"""
+
+
+def test_the_dqd_model_and_the_read_sets_load_only_when_used():
+    # a sweep job imports neither decoq.dqd nor json; every name decoq
+    # re-exports from decoq.dqd still resolves, and decoq.sweep is the
+    # function.  Only a register of more than one block (shor9's) loads
+    # the read sets
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", _LAZY_LOADS], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("False False\nTrue True\nTrue True True\n"
+                           "False\nTrue\n")

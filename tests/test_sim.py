@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from decoq import reads as read_sets
 from decoq import sim
 from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             kraus_to_choi, maximally_entangled)
@@ -22,9 +23,10 @@ from decoq.sim import (MAX_WIRES, Gate, apply_channel_wire, apply_gate,
                        partial_trace, pauli_gate, simulate_choi, toffoli)
 
 from util import (bell_choi_reference, embed_operator, kraus_sum_on_wire,
-                  random_density, random_kraus_channel, reference_choi,
-                  tensordot_apply_channel_wire, tensordot_apply_gate,
-                  tensordot_simulate_choi, transpose_partial_trace)
+                  random_density, random_kraus_channel, read_set_mask,
+                  reference_choi, tensordot_apply_channel_wire,
+                  tensordot_apply_gate, tensordot_simulate_choi,
+                  transpose_partial_trace)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -504,6 +506,153 @@ def test_noise_groups_split_at_none_and_at_another_channel(monkeypatch):
     assert np.array_equal(got, tensordot_simulate_choi(code, per_wire))
 
 
+def _poison_unread(monkeypatch):
+    """Wrap apply_channel_wire and apply_gate so that after each stage
+    every entry its read set leaves unread is NaN; returns the list of the
+    read sets passed, in stage order."""
+    stages = []
+
+    def poisoning(apply):
+        def wrapped(state, *args, reads=None, **kw):
+            out = apply(state, *args, reads=reads, **kw)
+            stages.append(reads)
+            if reads is not None:
+                out.reshape(-1)[~read_set_mask(reads)] = np.nan
+            return out
+        return wrapped
+
+    for name in ("apply_channel_wire", "apply_gate"):
+        monkeypatch.setattr(sim, name, poisoning(getattr(sim, name)))
+    return stages
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS + ("per-wire mix",))
+def test_shor9_stages_never_read_what_their_read_sets_leave_out(
+        monkeypatch, kind):
+    # the per-wire mix is that of the noise-group test below: passes of
+    # two, three, one and one wires
+    code = _shared_code("shor9")
+    if kind == "per-wire mix":
+        a = from_calibrated_p("depolarizing", 0.1)
+        b = from_calibrated_p("depolarizing", 0.1)
+        per_wire = (a, a, None, b, b, b, b, a, None)
+    else:
+        per_wire = (from_calibrated_p(kind, 0.05),) * code.n
+    code.encoded_state, code.decode_gates   # built through apply_gate
+    stages = _poison_unread(monkeypatch)
+    got = simulate_choi(code, per_wire)
+    noisy = 4 if kind == "per-wire mix" else 3
+    assert len(stages) == noisy + len(code.decode_gates)
+    assert all(reads is not None for reads in stages)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, tensordot_simulate_choi(code, per_wire))
+
+
+@pytest.mark.parametrize("block", (4, 64))
+def test_random_circuits_compute_every_entry_their_read_sets_hold(
+        monkeypatch, block):
+    # noise passes, dense gates and permutations on five wires, with blocks
+    # small enough to skip: derived backward from a random trace, each
+    # stage's read set leaves the trace's bits as the whole-register run.
+    # The first circuit ends in a dense gate on the three wires whose
+    # columns the trace leaves free, so its pass must give up a read-set
+    # factor to keep four columns
+    monkeypatch.setattr(sim, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(48)
+    m = 5
+    ch = random_kraus_channel(rng)
+
+    def unitary(k):
+        return np.linalg.qr(rng.normal(size=(2 ** k,) * 2)
+                            + 1j * rng.normal(size=(2 ** k,) * 2))[0]
+
+    for trial in range(9):
+        stages = []
+        for _ in range(5):
+            k = int(rng.integers(1, 4))
+            wires = tuple(int(w) for w in rng.choice(m, k, replace=False))
+            stages.append((wires, Gate("U", wires, unitary(k)),
+                           Gate("P", wires, src=rng.permutation(2 ** k)))
+                          [rng.integers(3)])
+        keep = tuple(int(w) for w in rng.choice(m, 2, replace=False))
+        if trial == 0:
+            stages[-1], keep = Gate("U", (0, 1, 2), unitary(3)), (0, 1)
+        reads = read_sets.ReadSet.of_trace(m, keep)
+        stage_sets = []
+        for stage in reversed(stages):
+            stage_sets.append(reads)
+            reads = (reads.before(stage, m) if isinstance(stage, Gate)
+                     else reads.freed(stage + tuple(m + w for w in stage)))
+        rho = random_density(2 ** m, rng)
+        want = rho.copy()
+        for stage, reads in zip(stages, reversed(stage_sets)):
+            if isinstance(stage, Gate):
+                apply_gate(want, stage, out=want)
+                apply_gate(rho, stage, out=rho, reads=reads)
+            else:
+                apply_channel_wire(want, ch, stage, out=want)
+                apply_channel_wire(rho, ch, stage, out=rho, reads=reads)
+            rho.reshape(-1)[~read_set_mask(reads)] = np.nan
+        assert np.array_equal(partial_trace(rho, keep),
+                              partial_trace(want, keep))
+    with pytest.raises(ValueError, match="read set has 10 axes"):
+        apply_gate(np.eye(8, dtype=complex), hadamard(0), reads=reads)
+
+
+def _computed_share(passes, ndim) -> float:
+    """The largest share of a tensor's entries that one pass of a
+    contraction computes: each computed column holds one entry per row."""
+    return max(1.0 if columns is None
+               else columns[0].size * columns[1].size / 2 ** ndim
+               for *_, columns in passes)
+
+
+def test_the_read_plan_skips_shor9_blocks_and_is_built_once():
+    code = _shared_code("shor9")
+    ch = from_calibrated_p("depolarizing", 1e-3)
+    simulate_choi(code, ch)
+    m, block = code.n + 1, sim.BLOCK_ENTRIES
+    groups = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    # the fused gather of the three bit-flip decoders is pulled back through
+    # each triple's own index, so no factor spans more than three wires
+    assert [positions for positions, _ in
+            read_sets._parts(code.decode_gates[0].src)] == list(groups)
+    noise, decode = read_sets.stage_reads(code.decode_gates, m, groups)
+
+    def passes(reads, axes_seq):
+        return reads.passes(axes_seq, sim._plan(2 * m, axes_seq, block), block)
+
+    shares = [_computed_share(passes(reads, tuple((w, m + w) for w in wires)),
+                              2 * m) for reads, wires in zip(noise, groups)]
+    assert shares == [1.0, 1 / 4, 1 / 16]
+    (dense_reads, dense), = [(r, g) for r, g in zip(decode, code.decode_gates)
+                             if g.src is None]
+    dense_axes = (dense.wires, tuple(m + w for w in dense.wires))
+    assert _computed_share(passes(dense_reads, dense_axes), 2 * m) == 1 / 64
+    # the decoder's gathers copy what the trace and the dense pass read
+    gathered = [len(r.gather(g, m)[0])
+                for r, g in zip(decode, code.decode_gates) if g.src is not None]
+    assert gathered == [4 ** m // 64, 4 ** m // 256]
+    # a second run builds nothing: the same plan and the same kernel plans
+    kept = [dict(r._plans) for r in noise + decode]
+    misses = read_sets.stage_reads.cache_info().misses
+    simulate_choi(code, ch)
+    assert read_sets.stage_reads.cache_info().misses == misses
+    for reads, before in zip(noise + decode, kept):
+        assert reads._plans.keys() == before.keys()
+        assert all(reads._plans[k] is before[k] for k in before)
+
+
+@pytest.mark.parametrize("name", ("bit3", "phase3", "shor5"))
+def test_small_codes_compute_the_whole_register(monkeypatch, name):
+    # a register of one block has no block to skip
+    code = _shared_code(name)
+    code.encoded_state, code.decode_gates   # built through apply_gate
+    stages = _poison_unread(monkeypatch)
+    simulate_choi(code, from_calibrated_p("depolarizing", 0.1))
+    assert stages and all(reads is None for reads in stages)
+
+
 def test_a_second_simulation_runs_only_the_decoder(monkeypatch):
     # the encoded pair state is built once per code object, through
     # apply_gate, and then read; every later run applies the decoder alone
@@ -605,6 +754,19 @@ def test_density_gather_in_place_equals_the_whole_register_gather(
             assert np.array_equal(rho, want)
 
 
+def test_row_sets_end_cleanly_after_a_cycle_longer_than_a_set():
+    # every cycle of this gate on 9 wires is 32 rows long, twice a row
+    # set's width: the rows already seen after the last cycle add no set
+    gate = Gate("P", tuple(range(5)), src=np.roll(np.arange(32), 1))
+    m = 9
+    sets = gate.row_sets(m)
+    assert all(len(rows) == 32 and rows.dtype.kind == "i" for rows in sets)
+    rho = _random_matrix(m, np.random.default_rng(49))
+    idx = gate.gather_index(m)
+    assert np.array_equal(apply_gate(rho, gate),
+                          rho.take(idx, axis=0).take(idx, axis=1))
+
+
 def test_concurrent_split_operations_keep_their_bits():
     # four callers at once on operations of 8 blocks each, a short switch
     # interval, and caches of fresh gates built in the race: no call may
@@ -693,8 +855,10 @@ print(threading.active_count())
 
 
 def test_importing_the_cli_starts_no_thread():
-    # nor does a shor9 simulation, whose 10-wire contractions and gathers
-    # have 128 blocks each: every one runs in the calling thread
+    # nor does a shor9 simulation, whose 10-wire contractions run up to 128
+    # blocks each (its first noise pass; the later passes and the dense
+    # decode skip the blocks no later stage reads): every one runs in the
+    # calling thread
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run([sys.executable, "-c", _THREAD_COUNTS],
                           cwd=ROOT, env=env, capture_output=True, text=True,

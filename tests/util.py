@@ -25,6 +25,8 @@ The oracles deliberately avoid the library's own measure implementations:
   contraction ``decoq.sim`` replaced with blocks of one direct ``np.dot``
   each: the same products, so the results must be equal bit for bit, and
   ``tensordot_simulate_choi`` composes them into a whole correction round,
+* ``read_set_mask`` spells out a ``decoq.sim.ReadSet`` entry by entry,
+  from the bits of each flat position, apart from the library's masks,
 * ``transpose_partial_trace`` is the partial trace by a transposed copy,
   the route ``decoq.sim.partial_trace`` replaced with one ``np.einsum`` on
   the register's view; the sums are the same, so must be the bits,
@@ -275,6 +277,20 @@ def tensordot_simulate_choi(code, per_wire):
     for gate in code.decode_gates:
         rho = tensordot_apply_gate(rho, gate)
     return partial_trace(rho, keep=(0, n))
+
+
+def read_set_mask(reads):
+    """The flat boolean mask of the entries a ``decoq.sim.ReadSet`` holds:
+    a flat position is held when, for every factor, its bits on the
+    factor's axes (the first axis most significant) index a True entry."""
+    flat = np.arange(2 ** reads.ndim)
+    held = np.ones(flat.shape, dtype=bool)
+    for axes, mask in reads.factors:
+        local = np.zeros_like(flat)
+        for a in axes:
+            local = (local << 1) | ((flat >> (reads.ndim - 1 - a)) & 1)
+        held &= mask.reshape(-1)[local]
+    return held
 
 
 def transpose_partial_trace(rho, keep):
