@@ -15,20 +15,16 @@ codes: 0 success, 2 configuration error, 3 range/validation error (including
 nan or infinite values of any float flag, a --steps above MAX_STEPS, and a
 ``channel --p`` or ``dqd --params`` that takes floating point out of range).
 ``dqd`` evaluates B^2(t) in closed form, so any finite --tmax is accepted.
+
+Each command imports the layers it needs when it runs, so ``dqd`` loads
+neither numpy nor the simulator.
 """
 from __future__ import annotations
 
 import argparse
+import importlib
+import math
 import sys
-
-import numpy as np
-
-from . import noise
-from .channels import chi_to_choi, chi_to_kraus, verify_cptp
-from .codes import CODE_NAMES, UnknownCodeError, code_by_name
-from .decoherence import (is_diagonal, measure_auto, measure_by_definition,
-                          measure_diagonal, measure_general)
-from .sweep import break_even, fit_poly, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,6 +33,19 @@ EXIT_RANGE = 3
 # largest --steps of ``sweep`` and ``dqd``: refused before the grid is
 # allocated, since a 1e9-point grid alone needs gigabytes
 MAX_STEPS = 10 ** 6
+
+# the library functions the commands call, by the module that defines them:
+# each command looks them up there when it runs, and they stay readable as
+# attributes of this module
+_LIBRARY_NAMES = {"code_by_name": "codes", "sweep": "sweep",
+                  "fit_poly": "sweep", "break_even": "sweep"}
+
+
+def __getattr__(name):
+    if name not in _LIBRARY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _LIBRARY_NAMES[name], __package__)
+    return getattr(module, name)
 
 
 def _fmt(x: float) -> str:
@@ -61,6 +70,13 @@ def _chi_entry(v: float) -> str:
 
 
 def cmd_channel(args) -> int:
+    import numpy as np
+
+    from . import noise
+    from .channels import chi_to_choi, chi_to_kraus, verify_cptp
+    from .decoherence import (is_diagonal, measure_auto,
+                              measure_by_definition, measure_diagonal,
+                              measure_general)
     kind = args.channel
     native = args.p
     fam = noise.family(kind)
@@ -119,7 +135,10 @@ def _check_steps(steps: int) -> None:
         raise ValueError(f"--steps must be <= {MAX_STEPS}, got {steps}")
 
 
-def _p_grid(args) -> np.ndarray:
+def _p_grid(args):
+    import numpy as np
+
+    from . import noise
     noise.family(args.channel)             # an unknown kind before --steps
     _check_steps(args.steps)
     if args.pmin > args.pmax:
@@ -132,7 +151,17 @@ def _p_grid(args) -> np.ndarray:
     return np.linspace(args.pmin, args.pmax, args.steps)
 
 
+def _compile_simulator_first() -> None:
+    """Import decoq.sim before numpy loads.  Compiling its source takes
+    about a megabyte for a moment; done first, numpy's allocations reuse
+    that memory instead of raising the peak above it."""
+    from . import sim  # noqa: F401
+
+
 def cmd_sweep(args) -> int:
+    _compile_simulator_first()
+    from .codes import code_by_name
+    from .sweep import sweep
     code_by_name(args.code)                # an unknown code before the grid
     ps = _p_grid(args)
     result = sweep(args.code, args.channel, ps)
@@ -153,19 +182,29 @@ def cmd_sweep(args) -> int:
 
 # -------------------------------------------------------------------- fit --
 
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """n >= 2 evenly spaced floats from lo to hi, as np.linspace gives them."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 # per-code sampling policy: small codes fit exactly on [0.05, 0.3]; the
 # 9-qubit code's polynomial has degree 9 there, so its quadratic leading
 # coefficient is extracted from a degree-3 fit at small p instead.
 _FIT_POLICY = {
-    "bit3": {"degree": 3, "points": np.linspace(0.05, 0.3, 4)},
-    "phase3": {"degree": 3, "points": np.linspace(0.05, 0.3, 4)},
-    "shor5": {"degree": 5, "points": np.linspace(0.05, 0.3, 6)},
-    "shor9": {"degree": 3, "points": np.array([5e-4, 1e-3, 2e-3])},
-    "none": {"degree": 1, "points": np.linspace(0.05, 0.3, 2)},
+    "bit3": {"degree": 3, "points": _linspace(0.05, 0.3, 4)},
+    "phase3": {"degree": 3, "points": _linspace(0.05, 0.3, 4)},
+    "shor5": {"degree": 5, "points": _linspace(0.05, 0.3, 6)},
+    "shor9": {"degree": 3, "points": [5e-4, 1e-3, 2e-3]},
+    "none": {"degree": 1, "points": _linspace(0.05, 0.3, 2)},
 }
 
 
 def cmd_fit(args) -> int:
+    _compile_simulator_first()
+    from .codes import code_by_name
+    from .noise import FAMILIES
+    from .sweep import break_even, fit_poly, sweep
     code_by_name(args.code)                # an unknown code before the policy
     policy = _FIT_POLICY[args.code]
     result = sweep(args.code, args.channel, policy["points"])
@@ -174,7 +213,7 @@ def cmd_fit(args) -> int:
     for i, a in enumerate(poly.coefficients, start=1):
         print(f"alpha_{i} = {_fmt(a)}")
     print(f"max residual over samples = {_fmt(poly.residual)}")
-    be = break_even(poly, p_max=noise.FAMILIES[args.channel].cap)
+    be = break_even(poly, p_max=FAMILIES[args.channel].cap)
     if be.status == "found":
         print(f"break_even p* = {_fmt(be.p)}")
     else:
@@ -187,9 +226,24 @@ def cmd_fit(args) -> int:
 _FLOAT_RANGE = "the device parameters leave floating-point range"
 
 
+def _log_grid(lo: float, hi: float, n: int) -> list:
+    """n floats from lo to hi evenly spaced in log10, as np.geomspace builds
+    them: lo and hi themselves at the ends, 10**(i step + log10(lo))
+    between (inf where that leaves floating point)."""
+    if n == 1:
+        return [lo]
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)
+    inner = []
+    for i in range(1, n - 1):
+        try:
+            inner.append(10.0 ** (i * step + a))
+        except OverflowError:
+            inner.append(math.inf)
+    return [lo, *inner, hi]
+
+
 def cmd_dqd(args) -> int:
-    # only this command needs the device model (and json): the other
-    # commands start without them
     import json
 
     from . import dqd as dqd_mod
@@ -205,7 +259,7 @@ def cmd_dqd(args) -> int:
     _check_steps(args.steps)
     if not 0.0 < args.tmin <= args.tmax:
         raise ValueError("need 0 < --tmin <= --tmax")
-    ts = np.geomspace(args.tmin, args.tmax, args.steps)
+    ts = _log_grid(args.tmin, args.tmax, args.steps)
     rows = ["t_s,p1,p2,D0,D,clamped"]
     pts_d0, pts_d = [], []
     for t in ts:
@@ -235,7 +289,7 @@ def _svg_lines(series_a, series_b, xlabel, ylabel, names, logx=False):
     xs = [x for x, _ in series_a] + [x for x, _ in series_b]
     ys = [y for _, y in series_a] + [y for _, y in series_b]
     if logx:
-        xs = [np.log10(x) for x in xs]
+        xs = [math.log10(x) for x in xs]
     x0, x1 = min(xs), max(xs)
     y0, y1 = 0.0, max(max(ys), 1e-30)
     sx = (w - 2 * pad) / (x1 - x0 if x1 > x0 else 1.0)
@@ -245,7 +299,7 @@ def _svg_lines(series_a, series_b, xlabel, ylabel, names, logx=False):
         out = []
         for x, y in series:
             if logx:
-                x = np.log10(x)
+                x = math.log10(x)
             out.append(f"{pad + (x - x0) * sx:.2f},{h - pad - (y - y0) * sy:.2f}")
         return " ".join(out)
 
@@ -276,6 +330,8 @@ def _svg_lines(series_a, series_b, xlabel, ylabel, names, logx=False):
 # ------------------------------------------------------------------- main --
 
 def build_parser() -> argparse.ArgumentParser:
+    from .codes import CODE_NAMES
+    from .noise import CHANNEL_KINDS
     parser = argparse.ArgumentParser(
         prog="decoq",
         description="decoherence measures and measurement-free QEC analysis")
@@ -283,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("channel", help="inspect one channel")
     c.add_argument("--channel", required=True,
-                   help="|".join(noise.CHANNEL_KINDS))
+                   help="|".join(CHANNEL_KINDS))
     c.add_argument("--p", type=float, required=True,
                    help="native parameter (probability, Gamma*t, or B^2)")
     c.set_defaults(func=cmd_channel)
@@ -324,19 +380,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for dest, value in vars(args).items():
-        if isinstance(value, float) and not np.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             flag = "--" + dest.replace("_", "-")
             print(f"error: {flag} must be finite, got {value!r}",
                   file=sys.stderr)
             return EXIT_RANGE
     try:
         return args.func(args)
-    except (UnknownCodeError, noise.UnknownKindError, OSError) as exc:
+    except (OSError, ValueError) as exc:
+        from .codes import UnknownCodeError
+        from .noise import UnknownKindError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
+        config = (OSError, UnknownCodeError, UnknownKindError)
+        return EXIT_CONFIG if isinstance(exc, config) else EXIT_RANGE
 
 
 if __name__ == "__main__":

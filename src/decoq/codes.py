@@ -19,17 +19,20 @@ Four codes are provided:
 ``corrects`` lists the declared correctable errors as (pauli, wire) pairs;
 a recovery built by enumeration maps the error-k image of logical |b> to
 |b> on the data wire and the syndrome index k on the ancillas.
+
+``CODE_NAMES`` loads without numpy, for the command line's help; building a
+code imports the simulator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from . import sim
-from .sim import (Gate, apply_gate, cnot, cz, fuse_gates, hadamard,
-                  pauli_gate, toffoli)
+    from .sim import Gate
 
 RECOVERY_ORTHO_ATOL = 1e-10
 
@@ -58,11 +61,13 @@ class QecCode:
     @cached_property
     def encode_gates(self) -> tuple:
         """The encoder, fused."""
+        from .sim import fuse_gates
         return fuse_gates(self.encoder)
 
     @cached_property
     def decode_gates(self) -> tuple:
         """The decoder, fused."""
+        from .sim import fuse_gates
         return fuse_gates(self.decoder)
 
     @cached_property
@@ -71,6 +76,9 @@ class QecCode:
         and a reference wire n, ancillas |0>: the (n+1)-wire state vector
         ``simulate_choi`` starts from, built once (through
         ``sim.apply_gate``) and read-only."""
+        import numpy as np
+
+        from . import sim
         psi = np.zeros(2 ** (self.n + 1), dtype=complex)
         psi[0] = psi[(1 << self.n) + 1] = 1.0 / np.sqrt(2.0)
         for gate in self.encode_gates:
@@ -90,6 +98,9 @@ def build_recovery(n: int, encoder, corrects) -> Gate:
     the basis state with data bit b and ancilla pattern k, so the recovery,
     which maps each corrupted codeword to that state, is V^dag.
     """
+    import numpy as np
+
+    from .sim import Gate, apply_gate, pauli_gate
     errors = [None] + list(corrects)
     dim = 2 ** n
     if 2 * len(errors) != dim:
@@ -114,6 +125,7 @@ def build_recovery(n: int, encoder, corrects) -> Gate:
 
 def bit_flip_code() -> QecCode:
     """3-qubit repetition code against single X errors."""
+    from .sim import cnot, toffoli
     enc = (cnot(0, 1), cnot(0, 2))
     dec = (cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0))
     corrects = (("X", 0), ("X", 1), ("X", 2))
@@ -122,6 +134,7 @@ def bit_flip_code() -> QecCode:
 
 def phase_flip_code() -> QecCode:
     """3-qubit code against single Z errors: repetition conjugated by H."""
+    from .sim import cnot, hadamard, toffoli
     enc = (cnot(0, 1), cnot(0, 2), hadamard(0), hadamard(1), hadamard(2))
     dec = (hadamard(0), hadamard(1), hadamard(2),
            cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0))
@@ -131,6 +144,7 @@ def phase_flip_code() -> QecCode:
 
 def shor5_code() -> QecCode:
     """5-qubit code; the decoder is one synthesized 32x32 recovery block."""
+    from .sim import cnot, cz, hadamard, pauli_gate
     enc = (
         pauli_gate("Z", 0), hadamard(1),
         cnot(1, 0), cz(1, 2), cz(1, 4),
@@ -148,6 +162,7 @@ def shor5_code() -> QecCode:
 
 def shor9_code() -> QecCode:
     """9-qubit code: three bit-flip triples inside a phase-flip layer."""
+    from .sim import cnot, hadamard, toffoli
     enc = (
         cnot(0, 3), cnot(0, 6),
         hadamard(0), hadamard(3), hadamard(6),

@@ -6,7 +6,7 @@ dot separation/radius, phonon wavevector) to
 * a relaxation rate Gamma (closed form),
 * a dephasing spectral function B^2(t) (closed form: the integral over the
   phonon wavevector is a sum of Dawson's integrals, evaluated to double
-  precision in numpy),
+  precision with the standard library's ``math``),
 * error probabilities p1 = 1 - exp(-Gamma t), p2 = (1 - exp(-B^2))/2,
   optionally scaled by an operation count N and clamped to their calibrated
   ranges,
@@ -20,8 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .noise import FAMILIES
 
@@ -141,14 +139,17 @@ _H = 0.2
 # sample indices n - n0 around n0, the even integer nearest x/h; the outer
 # samples lie at least 8.2 - 0.2 - 1 = 7 from x + d for any |d| <= 1 (below),
 # where exp(-49) is negligible
-_ODD = np.arange(-41, 42, 2)
+_ODD = range(-41, 42, 2)
 _SQRT_PI = math.sqrt(math.pi)
 
 
 def _rybicki_samples(x: float):
-    """(u, n): the offsets u = x - n h and the odd sample indices n near x."""
+    """Yield (u, n): each odd sample index n near x and its offset
+    u = x - n h."""
     n0 = 2.0 * round(x / (2.0 * _H))
-    return (x - n0 * _H) - _ODD * _H, _ODD + n0
+    base = x - n0 * _H
+    for k in _ODD:
+        yield base - k * _H, k + n0
 
 
 def dawson(x: float) -> float:
@@ -161,8 +162,8 @@ def dawson(x: float) -> float:
             s = 1.0 - 2.0 * ax * ax * s / (2 * k + 1)
         value = ax * s
     elif ax < _ASYMPTOTIC_MIN:
-        u, n = _rybicki_samples(ax)
-        value = math.fsum(np.exp(-u * u) / n) / _SQRT_PI
+        value = math.fsum(math.exp(-u * u) / n
+                          for u, n in _rybicki_samples(ax)) / _SQRT_PI
     else:
         w = 0.5 / ax / ax                    # 0 for a huge (or infinite) x
         s = 1.0
@@ -182,10 +183,13 @@ def _second_difference(y: float, d: float) -> float:
     1e-16 F(y), is then at most about 1e-16 F(y)/y of B^2.
     """
     if d <= 1.0:
-        u, n = _rybicki_samples(y)
-        g = np.exp(-u * u) * (math.expm1(-d * d) * np.cosh(2.0 * u * d)
-                              + 2.0 * np.sinh(u * d) ** 2)
-        return -math.fsum(g / n) / _SQRT_PI
+        m = math.expm1(-d * d)
+        terms = []
+        for u, n in _rybicki_samples(y):
+            sh = math.sinh(u * d)
+            terms.append(math.exp(-u * u)
+                         * (m * math.cosh(2.0 * u * d) + 2.0 * (sh * sh)) / n)
+        return -math.fsum(terms) / _SQRT_PI
     return dawson(y) - 0.5 * dawson(y + d) - 0.5 * dawson(y - d)
 
 

@@ -24,18 +24,30 @@ Amplitude damping's physical frame (the |+>/|-> eigenbasis of the double-dot
 coupling) is only a label, ``frame="plus_minus"``, though the frame changes
 QEC results: the 3-qubit bit-flip code under amplitude damping at
 Gamma*t = 0.05 gives D = 0.0363 as is and 0.0701 conjugated by a Hadamard.
+
+The records load without numpy, which the builders of Kraus operators and
+chi matrices import when called, so ``dqd`` reads its calibrations and caps
+on the standard library alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .channels import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, KrausChannel
+    from .channels import KrausChannel
 
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+
+@cache
+def _channels():
+    """decoq.channels (and numpy), imported when the first channel is built;
+    a relative import per call would cost a microsecond a point."""
+    from . import channels
+    return channels
 
 
 @dataclass(frozen=True)
@@ -64,11 +76,14 @@ def _pauli(weights, calibrate, **fields) -> Family:
     at calibrated p: Kraus operators the identity, with what the errors
     leave, then one Pauli per nonzero weight; chi the diagonal of weights."""
     def kraus(x):
+        ch = _channels()
         w = weights(calibrate(x))
-        return (math.sqrt(max(1.0 - sum(w), 0.0)) * PAULI_I,
-                *(math.sqrt(v) * op for v, op in zip(w, _PAULIS) if v))
+        return (math.sqrt(max(1.0 - sum(w), 0.0)) * ch.PAULI_I,
+                *(math.sqrt(v) * op for v, op in
+                  zip(w, (ch.PAULI_X, ch.PAULI_Y, ch.PAULI_Z)) if v))
 
     def chi(x):
+        import numpy as np
         w = weights(calibrate(x))
         return np.diag((1.0 - sum(w), *w)).astype(complex)
     return Family(kraus, chi, calibrate, **fields)
@@ -83,6 +98,7 @@ def _identity_calibrated(weights, cap, span, slack=0.0) -> Family:
 
 def _amplitude_damping_kraus(gamma_t: float) -> tuple:
     """Energy relaxation |1> -> |0> with decay exponent Gamma*t."""
+    import numpy as np
     return (np.array([[1.0, 0.0], [0.0, math.sqrt(math.exp(-gamma_t))]],
                      dtype=complex),
             np.array([[0.0, math.sqrt(-math.expm1(-gamma_t))], [0.0, 0.0]],
@@ -90,6 +106,7 @@ def _amplitude_damping_kraus(gamma_t: float) -> tuple:
 
 
 def _amplitude_damping_chi(gamma_t: float) -> np.ndarray:
+    import numpy as np
     root = math.exp(-gamma_t / 2.0)
     q = -math.expm1(-gamma_t)
     chi = np.zeros((4, 4), dtype=complex)
@@ -158,7 +175,7 @@ def build_channel(kind: str, native: float) -> KrausChannel:
     fam = family(kind)
     if not 0.0 <= native <= fam.native_top:
         raise ValueError(fam.native_msg)
-    return KrausChannel(fam.kraus(native))
+    return _channels().KrausChannel(fam.kraus(native))
 
 
 def from_calibrated_p(kind: str, p: float) -> KrausChannel:

@@ -1,5 +1,6 @@
 """Exit codes, CSV determinism, and report content of the command line tool."""
 import argparse
+import json
 import math
 import os
 import random
@@ -11,8 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decoq.cli import MAX_STEPS, build_parser, main
+from decoq import cli, dqd
+from decoq.cli import _FIT_POLICY, MAX_STEPS, build_parser, main
 from decoq.noise import FAMILIES
+
+import util
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -402,6 +406,15 @@ from decoq.sim import simulate_choi
 for name in ("shor5", "shor9"):
     simulate_choi(code_by_name(name), from_calibrated_p("depolarizing", 0.1))
     print("decoq.reads" in sys.modules)
+import decoq.sweep
+homes = {"code_by_name": "codes", "sweep": "sweep", "fit_poly": "sweep",
+         "break_even": "sweep"}
+print(callable(decoq.sweep),
+      all(getattr(decoq.cli, name) is getattr(sys.modules["decoq." + home],
+                                              name)
+          for name, home in homes.items()),
+      decoq.sim is sys.modules["decoq.sim"],
+      {"channels", "simulate_choi", "FAMILIES"} <= set(dir(decoq)))
 """
 
 
@@ -409,11 +422,143 @@ def test_the_dqd_model_and_the_read_sets_load_only_when_used():
     # a sweep job imports neither decoq.dqd nor json; every name decoq
     # re-exports from decoq.dqd still resolves, and decoq.sweep is the
     # function.  Only a register of more than one block (shor9's) loads
-    # the read sets
+    # the read sets.  decoq.sweep stays the function after the submodule
+    # is imported again, and the library functions the commands call
+    # resolve on decoq.cli to those of their defining modules
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run([sys.executable, "-c", _LAZY_LOADS], cwd=ROOT,
                           env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("False False\nTrue True\nTrue True True\n"
-                           "False\nTrue\n")
+                           "False\nTrue\nTrue True True True\n")
+
+
+_NO_NUMPY = """
+import contextlib, io, sys
+import decoq
+loaded = ["numpy" in sys.modules]
+import decoq.cli
+loaded.append("numpy" in sys.modules)
+for argv in (["dqd"], ["dqd", "--format", "svg"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = decoq.cli.main(argv)
+    loaded.append((code, "numpy" in sys.modules))
+print(loaded)
+"""
+
+
+def test_the_dqd_command_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, (0, False), (0, False)]\n"
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "decoq.cli", "dqd"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "decoq.noise" in proc.stderr and "numpy" not in proc.stderr
+
+
+def test_fit_policy_points_are_the_numpy_grids():
+    want = {"bit3": np.linspace(0.05, 0.3, 4),
+            "phase3": np.linspace(0.05, 0.3, 4),
+            "shor5": np.linspace(0.05, 0.3, 6),
+            "shor9": [5e-4, 1e-3, 2e-3],
+            "none": np.linspace(0.05, 0.3, 2)}
+    assert set(_FIT_POLICY) == set(want)
+    for code, points in want.items():
+        got = _FIT_POLICY[code]["points"]
+        assert all(type(p) is float for p in got)
+        assert [p.hex() for p in got] == [float(p).hex() for p in points]
+
+
+def _dqd_output(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dqd", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def _numpy_dqd_output(argv, capsys, monkeypatch):
+    """The dqd output of the numpy route: np.geomspace's grid, and Dawson's
+    integral summed over arrays."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_log_grid", np.geomspace)
+        m.setattr(dqd, "dawson", util.numpy_dawson)
+        m.setattr(dqd, "_second_difference", util.numpy_second_difference)
+        with np.errstate(over="ignore"):      # np.geomspace's last point
+            return _dqd_output(argv, capsys)
+
+
+def test_the_default_dqd_outputs_are_those_of_the_numpy_route(capsys,
+                                                              monkeypatch):
+    for argv in ([], ["--format", "svg"]):
+        assert _dqd_output(argv, capsys) == _numpy_dqd_output(
+            argv, capsys, monkeypatch)
+    # the benchmark's recorded CSV, from a quadrature that has since become
+    # the closed form, holds the same curve to 1e-6
+    recorded = json.loads((ROOT / "perfbench" / "reference.json")
+                          .read_text())["dqd"].splitlines()
+    printed = _dqd_output([], capsys).splitlines()
+    assert printed[0] == recorded[0] and len(printed) == len(recorded)
+    for row, want in zip(printed[1:], recorded[1:]):
+        for x, y in zip(row.split(","), want.split(",")):
+            assert math.isclose(float(x), float(y), rel_tol=1e-6), (row, want)
+
+
+def test_seeded_dqd_grids_print_the_numpy_route_to_the_last_digit(
+        tmp_path, capsys, monkeypatch):
+    # the standard library's log10 and powers of ten may each differ from
+    # numpy's by an ulp, and an ulp of log10 t moves t by ln(10) ulp(log10 t)
+    # relative (up to 37 ulp of t at 1e-15 s); that, or an ulp of B^2, now
+    # and then crosses the rounding of a printed twelfth digit (one row of
+    # these 4,882)
+    params = tmp_path / "params.json"
+    params.write_text('{"L_nm": 3.0}')
+    rng = random.Random(20261020)
+    rows = differing = 0
+    for i in range(24):
+        tmin = 10.0 ** rng.uniform(-16.0, -6.0)
+        tmax = tmin * 10.0 ** rng.uniform(0.0, 8.0)
+        steps = rng.randint(2, 400)
+        grid = cli._log_grid(tmin, tmax, steps)
+        assert grid[0] == tmin and grid[-1] == tmax
+        for t, want in zip(grid, np.geomspace(tmin, tmax, steps)):
+            assert abs(t - want) <= 4 * (math.log(10) * math.ulp(
+                math.log10(want)) * want + math.ulp(want))
+        argv = [f"--tmin={tmin!r}", f"--tmax={tmax!r}", f"--steps={steps}"]
+        if i % 2:
+            argv += ["--params", str(params)]
+        printed = _dqd_output(argv, capsys).splitlines()
+        numpy_route = _numpy_dqd_output(argv, capsys, monkeypatch).splitlines()
+        assert len(printed) == len(numpy_route) == steps + 1
+        for row, want in zip(printed[1:], numpy_route[1:]):
+            rows += 1
+            if row != want:
+                differing += 1
+                for x, y in zip(row.split(","), want.split(",")):
+                    assert abs(float(x) - float(y)) <= 1e-11 * abs(float(y))
+    assert differing <= rows // 1000
+
+
+@pytest.mark.parametrize("tmin, tmax, steps", [
+    # np.geomspace overflowed computing its last point, then replaced it
+    (1e300, 1.7976931348623157e308, 3),
+    # a middle point past the largest float is inf, as in np.geomspace
+    (1.7976931348623157e308, 1.7976931348623157e308, 3),
+    (1e-13, 1e-9, 1),
+    (5e-324, 1e-9, 25),
+], ids=["overflow", "inf", "one-step", "subnormal"])
+def test_dqd_grid_edges_print_what_the_numpy_route_printed(
+        tmin, tmax, steps, capsys, monkeypatch):
+    grid = cli._log_grid(tmin, tmax, steps)
+    assert len(grid) == steps and grid[0] == tmin
+    assert steps == 1 or grid[-1] == tmax
+    argv = [f"--tmin={tmin!r}", f"--tmax={tmax!r}", f"--steps={steps}"]
+    assert _dqd_output(argv, capsys) == _numpy_dqd_output(argv, capsys,
+                                                          monkeypatch)

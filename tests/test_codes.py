@@ -4,7 +4,7 @@ import pytest
 
 from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             choi_to_chi)
-from decoq import codes
+from decoq import sim
 from decoq.codes import (CODE_NAMES, QecCode, UnknownCodeError, bit_flip_code,
                          build_recovery, code_by_name, shor5_code, shor9_code)
 from decoq.decoherence import measure_auto
@@ -85,7 +85,7 @@ def test_build_recovery_refuses_nan_codewords(monkeypatch):
     # a NaN column fails the orthonormality test instead of passing it by
     enc = bit_flip_code().encoder
     corrects = bit_flip_code().corrects
-    monkeypatch.setattr(codes, "apply_gate",
+    monkeypatch.setattr(sim, "apply_gate",
                         lambda psi, gate: np.full_like(psi, np.nan))
     with pytest.raises(ValueError, match="not orthonormal"):
         build_recovery(3, enc, corrects)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from decoq import dqd
 from decoq.dqd import (EV, MIN_SEPARATION_RATIO, DqdParams, amp_poly,
                        dawson, decoherence_pair, default_params,
                        dqd_error_probs, load_params, params_from_units,
@@ -16,6 +17,7 @@ import util
 GAMMA_DEFAULT = 1273433624.2483376        # 1/s, frozen high-precision value
 B2_DEFAULT_1E10 = 0.0087765807330008576   # dimensionless, frozen value
 B2_DEFAULT_LIMIT = 0.008776581953207073   # B^2(t -> inf), default device
+_EPS = 2.0 ** -52
 
 
 def test_params_positivity():
@@ -131,6 +133,59 @@ def test_dawson_matches_reference_quadrature():
         assert dawson(-x) == -dawson(x)
     assert dawson(0.0) == 0.0
     assert dawson(math.inf) == 0.0
+
+
+def test_dawson_matches_the_numpy_series():
+    # the math loops sum the terms numpy's arrays summed: each term may
+    # round differently, the sum keeps to 4 ulp
+    rng = np.random.default_rng(20261020)
+    xs = np.concatenate([rng.uniform(0.0, 12.0, 4000),
+                         np.geomspace(1e-8, 1e4, 97), [0.2, 10.0]])
+    for x in xs:
+        for v in (x, -x):
+            want = util.numpy_dawson(v)
+            assert abs(dqd.dawson(v) - want) <= 4 * math.ulp(want), v
+
+
+def _second_difference_magnitude(y, d):
+    """The sum of the magnitudes of the terms _second_difference adds:
+    Rybicki terms with |expm1(-d^2)| up to d = 1, the three Dawson
+    integrals beyond."""
+    if d > 1.0:
+        return abs(dawson(y)) + abs(dawson(y + d)) / 2 + abs(dawson(y - d)) / 2
+    return math.fsum(
+        math.exp(-u * u) * (-math.expm1(-d * d) * math.cosh(2.0 * u * d)
+                            + 2.0 * math.sinh(u * d) ** 2) / abs(n)
+        for u, n in dqd._rybicki_samples(y)) / math.sqrt(math.pi)
+
+
+def test_second_difference_matches_the_numpy_series():
+    # within 4 roundings of the terms it sums (1.1 and 1.8 of them at most
+    # over 10^5 draws of each branch); that is far below 1e-16 F(y) at small
+    # d, and above it where the terms outgrow their sum (d near 1, or y - d
+    # near the peak of F)
+    rng = np.random.default_rng(20261021)
+    ys = rng.uniform(MIN_SEPARATION_RATIO, 30.0, 3000)
+    ds = np.concatenate([10.0 ** rng.uniform(-12.0, 0.0, 2000),
+                         rng.uniform(1.0, 40.0, 1000)])
+    for y, d in zip(ys, ds):
+        want = util.numpy_second_difference(y, d)
+        assert abs(dqd._second_difference(y, d) - want) <= (
+            4 * _EPS * _second_difference_magnitude(y, d)), (y, d)
+
+
+@pytest.mark.parametrize("params", [default_params(),
+                                    params_from_units(L_nm=3.0)],
+                         ids=["default", "L3nm"])
+def test_spectral_function_matches_the_numpy_series(params, monkeypatch):
+    ts = 10.0 ** np.random.default_rng(20261022).uniform(-16.0, -6.0, 2000)
+    with monkeypatch.context() as m:
+        m.setattr(dqd, "dawson", util.numpy_dawson)
+        m.setattr(dqd, "_second_difference", util.numpy_second_difference)
+        wants = [spectral_function(params, t) for t in ts]
+    for t, want in zip(ts, wants):
+        got = spectral_function(params, t)
+        assert abs(got - want) <= 1e-15 * want, t
 
 
 def test_spectral_function_long_time_limit():

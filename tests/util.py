@@ -32,13 +32,18 @@ The oracles deliberately avoid the library's own measure implementations:
   the register's view; the sums are the same, so must be the bits,
 * ``reference_b2`` and ``reference_dawson`` evaluate the dephasing integral
   B^2(t) and Dawson's integral by panelized Gauss-Legendre quadrature,
-  independently of ``decoq.dqd``'s closed form.
+  independently of ``decoq.dqd``'s closed form,
+* ``numpy_dawson`` and ``numpy_second_difference`` are ``decoq.dqd``'s
+  series for Dawson's integral summed over numpy arrays of Rybicki samples,
+  the route its ``math`` loops replaced: the same terms, rounded by numpy's
+  ``exp``, ``cosh`` and ``sinh``.
 """
 import functools
 import math
 
 import numpy as np
 
+from decoq import dqd
 from decoq.channels import (PAULI_BASIS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                             KrausChannel, chi_from_parameters,
                             maximally_entangled)
@@ -385,3 +390,43 @@ def reference_dawson(x, panels=32, nodes=32):
         return -reference_dawson(-x, panels, nodes)
     v, wv = _panel_rule(0.0, min(x, 40.0 / x), panels, nodes)
     return math.fsum(np.exp(-v * (2.0 * x - v)) * wv)
+
+
+_ODD = np.arange(-41, 42, 2)
+
+
+def _numpy_rybicki_samples(x):
+    n0 = 2.0 * round(x / (2.0 * dqd._H))
+    return (x - n0 * dqd._H) - _ODD * dqd._H, _ODD + n0
+
+
+def numpy_dawson(x):
+    """``decoq.dqd.dawson`` with its Rybicki series summed over arrays."""
+    ax = abs(x)
+    if ax < dqd._TAYLOR_MAX:
+        s = 1.0
+        for k in range(dqd._TAYLOR_TERMS - 1, 0, -1):
+            s = 1.0 - 2.0 * ax * ax * s / (2 * k + 1)
+        value = ax * s
+    elif ax < dqd._ASYMPTOTIC_MIN:
+        u, n = _numpy_rybicki_samples(ax)
+        value = math.fsum(np.exp(-u * u) / n) / dqd._SQRT_PI
+    else:
+        w = 0.5 / ax / ax
+        s = 1.0
+        for k in range(dqd._ASYMPTOTIC_TERMS - 1, 0, -1):
+            s = 1.0 + (2 * k - 1) * w * s
+        value = 0.5 * s / ax
+    return math.copysign(value, x)
+
+
+def numpy_second_difference(y, d):
+    """``decoq.dqd._second_difference`` over arrays, from ``numpy_dawson``
+    beyond d = 1."""
+    if d <= 1.0:
+        u, n = _numpy_rybicki_samples(y)
+        g = np.exp(-u * u) * (math.expm1(-d * d) * np.cosh(2.0 * u * d)
+                              + 2.0 * np.sinh(u * d) ** 2)
+        return -math.fsum(g / n) / dqd._SQRT_PI
+    return (numpy_dawson(y) - 0.5 * numpy_dawson(y + d)
+            - 0.5 * numpy_dawson(y - d))
