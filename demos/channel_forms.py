@@ -6,8 +6,8 @@ that every conversion path lands on the same object.
 """
 import numpy as np
 
-from decoq import (chi_to_choi, chi_to_kraus, choi_to_chi, kraus_to_chi,
-                   kraus_to_choi, verify_cptp)
+from decoq.channels import (chi_to_choi, chi_to_kraus, choi_to_chi,
+                            kraus_to_chi, kraus_to_choi, verify_cptp)
 from decoq.noise import build_channel, family
 
 np.set_printoptions(precision=5, suppress=True, linewidth=120)

@@ -8,10 +8,10 @@ a brute-force grid straight from the Kraus operators cross-checks them all.
 """
 import numpy as np
 
-from decoq import (chi_to_kraus, kraus_to_chi, measure_auto,
-                   measure_by_definition, measure_diagonal, measure_general,
-                   measure_quadratic)
-from decoq.channels import chi_from_parameters
+from decoq.channels import chi_from_parameters, chi_to_kraus, kraus_to_chi
+from decoq.decoherence import (measure_auto, measure_by_definition,
+                               measure_diagonal, measure_general,
+                               measure_quadratic)
 from decoq.noise import build_channel, family
 
 np.set_printoptions(precision=6, suppress=True)

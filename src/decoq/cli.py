@@ -135,9 +135,21 @@ def _check_steps(steps: int) -> None:
         raise ValueError(f"--steps must be <= {MAX_STEPS}, got {steps}")
 
 
-def _p_grid(args):
-    import numpy as np
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """n >= 1 evenly spaced floats from lo to hi, bit for bit as
+    np.linspace gives them: i step + lo, with hi itself last, and numpy's
+    own forms where the step underflows to zero and where n = 1 (which
+    turns a lo of -0.0 into 0.0)."""
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]
+    step = delta / (n - 1)
+    if step == 0.0:
+        return [i / (n - 1) * delta + lo for i in range(n - 1)] + [hi]
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
+
+def _p_grid(args):
     from . import noise
     noise.family(args.channel)             # an unknown kind before --steps
     _check_steps(args.steps)
@@ -148,7 +160,7 @@ def _p_grid(args):
             noise.native_from_calibrated(args.channel, p)
         except ValueError as exc:
             raise ValueError(f"{flag} {p!r}: {args.channel} {exc}") from None
-    return np.linspace(args.pmin, args.pmax, args.steps)
+    return _linspace(args.pmin, args.pmax, args.steps)
 
 
 def _compile_simulator_first() -> None:
@@ -181,12 +193,6 @@ def cmd_sweep(args) -> int:
 
 
 # -------------------------------------------------------------------- fit --
-
-def _linspace(lo: float, hi: float, n: int) -> list:
-    """n >= 2 evenly spaced floats from lo to hi, as np.linspace gives them."""
-    step = (hi - lo) / (n - 1)
-    return [i * step + lo for i in range(n - 1)] + [hi]
-
 
 # per-code sampling policy: small codes fit exactly on [0.05, 0.3]; the
 # 9-qubit code's polynomial has degree 9 there, so its quadratic leading
@@ -229,7 +235,8 @@ _FLOAT_RANGE = "the device parameters leave floating-point range"
 def _log_grid(lo: float, hi: float, n: int) -> list:
     """n floats from lo to hi evenly spaced in log10, as np.geomspace builds
     them: lo and hi themselves at the ends, 10**(i step + log10(lo))
-    between (inf where that leaves floating point)."""
+    between, clamped into [lo, hi] (a point past the largest float is
+    hi)."""
     if n == 1:
         return [lo]
     a = math.log10(lo)
@@ -237,9 +244,10 @@ def _log_grid(lo: float, hi: float, n: int) -> list:
     inner = []
     for i in range(1, n - 1):
         try:
-            inner.append(10.0 ** (i * step + a))
+            t = 10.0 ** (i * step + a)
         except OverflowError:
-            inner.append(math.inf)
+            t = hi
+        inner.append(min(max(t, lo), hi))
     return [lo, *inner, hi]
 
 

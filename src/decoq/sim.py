@@ -5,10 +5,12 @@ order equal to wire order (wire 0 is the most significant bit of the basis
 index).  Gates act on one, two, three, or a block of wires.  A gate whose
 matrix is a permutation (X, CNOT, Toffoli, or a fused run of them) is
 applied as an exact index gather; the gate caches that index once per
-register size up to MAX_WIRES.  Every other gate, and every channel's
-superoperator, is applied in place by ``_contract``, which takes a sequence
-of steps (an op and the axes it acts on) and runs consecutive steps in one
-pass over the state, one block of about BLOCK_ENTRIES entries at a time:
+register size up to MAX_WIRES.  A density matrix is gathered through one
+register-sized temporary, unless a read set (below) names the entries to
+copy.  Every other gate, and every channel's superoperator, is applied in
+place by ``_contract``, which takes a sequence of steps (an op and the axes
+it acts on) and runs consecutive steps in one pass over the state, one
+block of about BLOCK_ENTRIES entries at a time:
 the block's slice of the state's (2,)*m or (2,)*2m view is copied, the
 steps' axes first, into a small buffer, each step is one ``np.matmul``
 (batched over the axes of the steps before it), and the result is written
@@ -16,10 +18,7 @@ back to the same positions.  A density matrix's row and column sides of a
 gate are two steps, and so are two wires of one channel.  A pass splits
 where a step's products would have fewer than four columns or fewer
 columns than its op has rows.  Each pass's layout is planned once per
-(tensor rank, axes).  A gather on a density matrix of more than one block
-runs one row set at a time: each set is whole cycles of the permutation,
-so its rows are gathered (rows, then columns) into a small buffer and
-written back in place.  ``apply_gate`` and ``apply_channel_wire`` write
+(tensor rank, axes).  ``apply_gate`` and ``apply_channel_wire`` write
 into ``out=``, which may be the input; without it they return a new array.
 A circuit is a tuple of gates; ``fuse_gates`` compiles one into maximal
 permutation runs (composed by index arrays) and maximal runs of other gates
@@ -56,8 +55,8 @@ sixty-fourth; the gathers copy 2^14 and 2^12 of its 2^20 entries.  A
 register of one block (up to 6 wires) is computed whole.
 
 Noise and decode write into the one density matrix the function owns, and
-every block and row set runs in the calling thread, one after another, so a
-run holds one register-sized array and the buffers of one block or row set.
+every block runs in the calling thread, one after another, so a run holds
+one register-sized array and the buffers of one block or read-set gather.
 Every computed step output is, bit for bit, what ``np.tensordot`` of its op
 with the whole state gives, so grouping, blocking and skipping change no
 output bit.
@@ -111,7 +110,6 @@ class Gate:
     matrix: np.ndarray | None = None
     src: np.ndarray | None = field(default=None, repr=False)
     _gathers: dict = field(default_factory=dict, init=False, repr=False)
-    _row_sets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         wires = tuple(int(w) for w in self.wires)
@@ -160,17 +158,6 @@ class Gate:
             if m <= MAX_WIRES:
                 idx = self._gathers.setdefault(m, idx)
         return idx
-
-    def row_sets(self, m: int) -> tuple:
-        """The row sets of a density-matrix gather over an m-wire register
-        (``_cycle_sets``), kept like ``gather_index``."""
-        sets = self._row_sets.get(m)
-        if sets is None:
-            sets = _cycle_sets(self.gather_index(m),
-                               max(1, BLOCK_ENTRIES >> m))
-            if m <= MAX_WIRES:
-                sets = self._row_sets.setdefault(m, sets)
-        return sets
 
 
 def hadamard(wire: int) -> Gate:
@@ -342,54 +329,19 @@ def _out_buffer(state: np.ndarray, out) -> np.ndarray:
     return out
 
 
-def _cycle_sets(idx: np.ndarray, width: int) -> tuple:
-    """The cycles of the permutation ``idx``, packed in order into sets of
-    at most ``width`` rows (a longer cycle is a set of its own).  Each set
-    is closed under ``idx``, so gathering its rows reads only its own."""
-    src = idx.tolist()
-    seen = [False] * len(src)
-    sets, rows = [], []
-    for start in range(len(src)):
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = src[j]
-        if not cycle:
-            continue
-        if rows and len(rows) + len(cycle) > width:
-            sets.append(np.array(rows))
-            rows = []
-        rows += cycle
-    sets.append(np.array(rows))
-    return tuple(sets)
-
-
 def _gather_density(rho: np.ndarray, gate: Gate, m: int, out: np.ndarray,
                     reads: ReadSet | None = None) -> None:
     """``out = rho[idx][:, idx]`` with the gate's index over m wires;
-    ``out`` may be ``rho``.  A register of one block is gathered whole, a
-    larger one a row set at a time: the set's source rows are taken into a
-    small buffer, their columns gathered into a second, and the result
-    written to the set's rows.  With ``reads``, only the entries it holds
-    are gathered, all into one small buffer before any is written."""
+    ``out`` may be ``rho``.  The rows are gathered into one register-sized
+    temporary and its columns into ``out``.  With ``reads``, only the
+    entries it holds are gathered, all into one small buffer before any is
+    written."""
     if reads is not None:
         dst, src = reads.gather(gate, m)
         out.reshape(-1)[dst] = rho.reshape(-1).take(src)
         return
     idx = gate.gather_index(m)
-    if rho.size <= BLOCK_ENTRIES:
-        rho.take(idx, axis=0).take(idx, axis=1, out=out, mode="clip")
-        return
-    row_sets = gate.row_sets(m)
-    rows = np.empty((max(map(len, row_sets)), len(idx)), dtype=complex)
-    cols = np.empty_like(rows)
-    for dst in row_sets:
-        r, c = rows[:len(dst)], cols[:len(dst)]
-        rho.take(idx[dst], axis=0, out=r, mode="clip")
-        r.take(idx, axis=1, out=c, mode="clip")
-        out[dst] = c
+    rho.take(idx, axis=0).take(idx, axis=1, out=out, mode="clip")
 
 
 def _register_src(src: np.ndarray, wires, m: int) -> np.ndarray:
@@ -414,9 +366,11 @@ def apply_gate(state: np.ndarray, gate: Gate, *,
     matrix by it (rho -> U rho U^dag), writing into ``out`` (which may be
     ``state``) or, when it is None, into a new array; returns it.  A
     permutation gate is an index gather, bit for bit what the contraction
-    gives (every product is with 0 or 1).  With ``reads``, a ReadSet of the
-    density matrix's (2,)*2m view, only the output entries it holds are
-    sure to be computed; the others may be left as ``out`` held them."""
+    gives (every product is with 0 or 1); on a density matrix with no
+    ``reads`` it copies through one register-sized temporary.  With
+    ``reads``, a ReadSet of the density matrix's (2,)*2m view, only the
+    output entries it holds are sure to be computed; the others may be
+    left as ``out`` held them."""
     m = _wire_count_of(state, state.ndim)
     _check_wires(gate.wires, m)
     _check_reads(reads, state.ndim * m)

@@ -23,7 +23,7 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from decoq.noise import family
-sweep_module = sys.modules["decoq.sweep"]    # decoq.sweep is the function
+sweep_module = sys.modules["decoq.sweep"]
 for kind, native in (("bit_flip", 0.1), ("amplitude_damping", 1.0)):
     sweep_module.measure_auto(family(kind).chi(native))
 print(json.dumps(tracer.totals()))

@@ -395,43 +395,35 @@ import sys
 import decoq.sweep, decoq.cli
 print("decoq.dqd" in sys.modules, "json" in sys.modules)
 import decoq
-print(decoq.sweep is decoq.cli.sweep, callable(decoq.sweep))
-from decoq import DqdParams, spectral_function
 import decoq.dqd as dqd
-print(DqdParams is dqd.DqdParams,
-      decoq.spectral_function is dqd.spectral_function, decoq.dqd is dqd)
+print(decoq.dqd is dqd)
 from decoq.codes import code_by_name
 from decoq.noise import from_calibrated_p
 from decoq.sim import simulate_choi
 for name in ("shor5", "shor9"):
     simulate_choi(code_by_name(name), from_calibrated_p("depolarizing", 0.1))
     print("decoq.reads" in sys.modules)
-import decoq.sweep
 homes = {"code_by_name": "codes", "sweep": "sweep", "fit_poly": "sweep",
          "break_even": "sweep"}
-print(callable(decoq.sweep),
-      all(getattr(decoq.cli, name) is getattr(sys.modules["decoq." + home],
+print(all(getattr(decoq.cli, name) is getattr(sys.modules["decoq." + home],
                                               name)
           for name, home in homes.items()),
       decoq.sim is sys.modules["decoq.sim"],
-      {"channels", "simulate_choi", "FAMILIES"} <= set(dir(decoq)))
+      decoq.sweep is sys.modules["decoq.sweep"])
 """
 
 
 def test_the_dqd_model_and_the_read_sets_load_only_when_used():
-    # a sweep job imports neither decoq.dqd nor json; every name decoq
-    # re-exports from decoq.dqd still resolves, and decoq.sweep is the
-    # function.  Only a register of more than one block (shor9's) loads
-    # the read sets.  decoq.sweep stays the function after the submodule
-    # is imported again, and the library functions the commands call
-    # resolve on decoq.cli to those of their defining modules
+    # a sweep job imports neither decoq.dqd nor json, and only a register
+    # of more than one block (shor9's) loads the read sets.  The library
+    # functions the commands call resolve on decoq.cli to those of their
+    # defining modules, and each submodule is bound on the package
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run([sys.executable, "-c", _LAZY_LOADS], cwd=ROOT,
                           env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ("False False\nTrue True\nTrue True True\n"
-                           "False\nTrue\nTrue True True True\n")
+    assert proc.stdout == "False False\nTrue\nFalse\nTrue\nTrue True True\n"
 
 
 _NO_NUMPY = """
@@ -474,6 +466,28 @@ def test_fit_policy_points_are_the_numpy_grids():
         assert all(type(p) is float for p in got)
         assert [p.hex() for p in got] == [float(p).hex() for p in points]
 
+
+def test_linspace_is_numpys_bit_for_bit():
+    # sweep grids and fit points: any finite ends, equal ends, -0.0, and a
+    # span of a few subnormals, whose step underflows to zero
+    rng = random.Random(20261021)
+    for _ in range(20000):
+        n = rng.randint(1, 500)
+        kind = rng.random()
+        if kind < 0.1:
+            lo = hi = rng.uniform(-1.0, 1.0)
+        elif kind < 0.15:
+            lo, hi = -0.0, rng.choice((-0.0, 0.0, rng.random()))
+        elif kind < 0.2:
+            lo = rng.randint(-50, 50) * 5e-324
+            hi = lo + rng.randint(-50, 50) * 5e-324
+        else:
+            lo, hi = (rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
+                      for _ in range(2))
+        got = np.array(cli._linspace(lo, hi, n))
+        want = np.linspace(lo, hi, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+            lo, hi, n)
 
 def _dqd_output(argv, capsys):
     with warnings.catch_warnings():
@@ -549,7 +563,7 @@ def test_seeded_dqd_grids_print_the_numpy_route_to_the_last_digit(
 @pytest.mark.parametrize("tmin, tmax, steps", [
     # np.geomspace overflowed computing its last point, then replaced it
     (1e300, 1.7976931348623157e308, 3),
-    # a middle point past the largest float is inf, as in np.geomspace
+    # a middle point past the largest float: inf in np.geomspace, tmax here
     (1.7976931348623157e308, 1.7976931348623157e308, 3),
     (1e-13, 1e-9, 1),
     (5e-324, 1e-9, 25),
@@ -560,5 +574,11 @@ def test_dqd_grid_edges_print_what_the_numpy_route_printed(
     assert len(grid) == steps and grid[0] == tmin
     assert steps == 1 or grid[-1] == tmax
     argv = [f"--tmin={tmin!r}", f"--tmax={tmax!r}", f"--steps={steps}"]
-    assert _dqd_output(argv, capsys) == _numpy_dqd_output(argv, capsys,
-                                                          monkeypatch)
+    assert all(tmin <= t <= tmax for t in grid)
+    printed = _dqd_output(argv, capsys)
+    assert [row.split(",")[0] for row in printed.splitlines()[1:]] == [
+        cli._fmt(t) for t in grid]
+    if tmin == tmax:
+        assert grid == [tmax] * steps
+    else:
+        assert printed == _numpy_dqd_output(argv, capsys, monkeypatch)

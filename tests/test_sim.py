@@ -682,7 +682,8 @@ def test_a_second_simulation_runs_only_the_decoder(monkeypatch):
 
 def test_shor9_simulation_holds_one_register_array():
     # noise, decode and the partial trace work on the one register; beside
-    # it the calling thread holds the buffers of one block or row set
+    # it the calling thread holds the buffers of one block or one read-set
+    # gather
     code = _shared_code("shor9")
     ch = from_calibrated_p("depolarizing", 1e-3)
     simulate_choi(code, ch)             # builds the gathers' cached indices
@@ -733,38 +734,21 @@ def test_density_gather_in_place_equals_the_whole_register_gather(
         gates = [Gate("P", tuple(int(w) for w in rng.choice(m, k, False)),
                       np.eye(2 ** k)[rng.permutation(2 ** k)])
                  for k in (1, 3, 5)]
-        if m == 8:      # long cycles: a set of their own, wider than a block
-            wide = Gate("P", tuple(range(m)),
-                        np.eye(2 ** m)[rng.permutation(2 ** m)])
-            assert max(map(len, wide.row_sets(m))) > sim.BLOCK_ENTRIES >> m
-            gates.append(wide)
+        if m == 8:      # one permutation of the whole register: long cycles
+            gates.append(Gate("P", tuple(range(m)),
+                              np.eye(2 ** m)[rng.permutation(2 ** m)]))
+        if m == 9:      # every cycle 32 rows long
+            gates.append(Gate("P", tuple(range(5)),
+                              src=np.roll(np.arange(32), 1)))
         if m == 10:
             gates += [g for g in shor9.decode_gates if g.src is not None]
         for gate in gates:
             idx = gate.gather_index(m)
-            sets = gate.row_sets(m)
-            assert np.array_equal(np.sort(np.concatenate(sets)),
-                                  np.arange(2 ** m))
-            for rows in sets:
-                assert np.array_equal(np.sort(idx[rows]), np.sort(rows))
             rho = _random_matrix(m, rng)
             want = rho.take(idx, axis=0).take(idx, axis=1)
             assert np.array_equal(apply_gate(rho, gate), want)
             apply_gate(rho, gate, out=rho)
             assert np.array_equal(rho, want)
-
-
-def test_row_sets_end_cleanly_after_a_cycle_longer_than_a_set():
-    # every cycle of this gate on 9 wires is 32 rows long, twice a row
-    # set's width: the rows already seen after the last cycle add no set
-    gate = Gate("P", tuple(range(5)), src=np.roll(np.arange(32), 1))
-    m = 9
-    sets = gate.row_sets(m)
-    assert all(len(rows) == 32 and rows.dtype.kind == "i" for rows in sets)
-    rho = _random_matrix(m, np.random.default_rng(49))
-    idx = gate.gather_index(m)
-    assert np.array_equal(apply_gate(rho, gate),
-                          rho.take(idx, axis=0).take(idx, axis=1))
 
 
 def test_concurrent_split_operations_keep_their_bits():
