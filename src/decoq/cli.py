@@ -4,7 +4,7 @@ Subcommands
 -----------
 channel  -- print the chi matrix, Choi eigenvalues, decoherence measure and
             CPTP verdict of one channel at one native parameter value.
-sweep    -- CSV of p, D0 (bare channel), D_corrected (after QEC) over a p grid.
+sweep    -- CSV of p, D0 (bare qubit, = p), D_corrected (after QEC) over a p grid.
 fit      -- recover the exact D(p) polynomial of a code/channel pair and its
             break-even point.
 dqd      -- CSV of the double-quantum-dot curves over a logarithmic time grid.
@@ -177,15 +177,13 @@ def cmd_sweep(args) -> int:
     code_by_name(args.code)                # an unknown code before the grid
     ps = _p_grid(args)
     result = sweep(args.code, args.channel, ps)
+    # the calibration makes p the bare qubit's D0 (a p of -0.0 has D0 0.0)
     rows = ["p,D0,D_corrected"]
-    bare = sweep("none", args.channel, ps)
-    d0s = dict(bare.samples)
     for p, d in result.samples:
-        rows.append(f"{_fmt(p)},{_fmt(d0s[p])},{_fmt(d)}")
+        rows.append(f"{_fmt(p)},{_fmt(abs(p))},{_fmt(d)}")
     if args.format == "svg":
         _write_lines(args.out, _svg_lines(
-            [(p, d0) for p, d0 in sorted(d0s.items())],
-            [(p, d) for p, d in result.samples],
+            [(p, p) for p in sorted(set(ps))], result.samples,
             "p", "D", ("bare D0", "corrected D")))
     else:
         _write_lines(args.out, rows)

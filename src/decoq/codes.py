@@ -9,12 +9,12 @@ X/CNOT/Toffoli gates become one index gather, other runs one dense block.
 Four codes are provided:
 
 * bit3   -- 3-qubit repetition code, corrects single X errors,
-* phase3 -- the same conjugated by Hadamards, corrects single Z errors,
+* phase3 -- bit3 in the Hadamard basis, corrects single Z errors,
 * shor5  -- 5-qubit code correcting any single-qubit Pauli error; its
   decoder is one synthesized block unitary that also recovers (see
   build_recovery),
-* shor9  -- 9-qubit code (bit-flip triples inside a phase-flip triple),
-  corrects any single-qubit Pauli error with an explicit Toffoli network.
+* shor9  -- phase3 on wires 0, 3 and 6 over bit3 on each triple, built by
+  relabeling their gates; corrects any single-qubit Pauli error.
 
 ``corrects`` lists the declared correctable errors as (pauli, wire) pairs;
 a recovery built by enumeration maps the error-k image of logical |b> to
@@ -133,13 +133,12 @@ def bit_flip_code() -> QecCode:
 
 
 def phase_flip_code() -> QecCode:
-    """3-qubit code against single Z errors: repetition conjugated by H."""
-    from .sim import cnot, hadamard, toffoli
-    enc = (cnot(0, 1), cnot(0, 2), hadamard(0), hadamard(1), hadamard(2))
-    dec = (hadamard(0), hadamard(1), hadamard(2),
-           cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0))
-    corrects = (("Z", 0), ("Z", 1), ("Z", 2))
-    return QecCode("phase3", 3, enc, dec, corrects)
+    """3-qubit code against single Z errors: bit3 in the Hadamard basis."""
+    from .sim import hadamard
+    bit3 = bit_flip_code()
+    h = tuple(hadamard(w) for w in range(bit3.n))
+    corrects = tuple(("Z", w) for _, w in bit3.corrects)
+    return QecCode("phase3", 3, bit3.encoder + h, h + bit3.decoder, corrects)
 
 
 def shor5_code() -> QecCode:
@@ -160,23 +159,20 @@ def shor5_code() -> QecCode:
                    corrects)
 
 
+def _relabel(gates, *wire_maps) -> tuple:
+    """The gates once per wire map, in turn, with wire k moved to wires[k]."""
+    from .sim import Gate
+    return tuple(Gate(g.name, tuple(wires[w] for w in g.wires), g.matrix)
+                 for wires in wire_maps for g in gates)
+
+
 def shor9_code() -> QecCode:
-    """9-qubit code: three bit-flip triples inside a phase-flip layer."""
-    from .sim import cnot, hadamard, toffoli
-    enc = (
-        cnot(0, 3), cnot(0, 6),
-        hadamard(0), hadamard(3), hadamard(6),
-        cnot(0, 1), cnot(0, 2),
-        cnot(3, 4), cnot(3, 5),
-        cnot(6, 7), cnot(6, 8),
-    )
-    dec = (
-        cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0),
-        cnot(3, 4), cnot(3, 5), toffoli(4, 5, 3),
-        cnot(6, 7), cnot(6, 8), toffoli(7, 8, 6),
-        hadamard(0), hadamard(3), hadamard(6),
-        cnot(0, 3), cnot(0, 6), toffoli(3, 6, 0),
-    )
+    """9-qubit code: phase3 on wires 0, 3, 6 over bit3 on each triple; the
+    encoder runs the outer code first, the decoder the inner."""
+    outer, inner = phase_flip_code(), bit_flip_code()
+    heads, triples = (0, 3, 6), ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    enc = _relabel(outer.encoder, heads) + _relabel(inner.encoder, *triples)
+    dec = _relabel(inner.decoder, *triples) + _relabel(outer.decoder, heads)
     corrects = tuple((lbl, w) for w in range(9) for lbl in ("X", "Y", "Z"))
     return QecCode("shor9", 9, enc, dec, corrects)
 

@@ -202,6 +202,29 @@ def test_sweep_svg(tmp_path):
         assert (">t (s) (log10)</text>" in text) == (argv[0] == "dqd")
 
 
+def test_sweep_d0_is_the_calibrated_p(capsys, tmp_path):
+    # a simulated bare qubit misses p in the last digits on the first rows
+    # of these two sweeps (1.00000004137e-09 at p = 1e-9)
+    for code, kind, pmin in (("bit3", "depolarizing", "1e-9"),
+                             ("shor5", "amplitude_damping", "1e-6")):
+        assert main(["sweep", "--code", code, "--channel", kind, "--pmin",
+                     pmin, "--pmax", "1e-3", "--steps", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            p, d0, _ = row.split(",")
+            assert d0 == p, row
+    # a grid that repeats one p draws one bare point
+    out = tmp_path / "plot.svg"
+    assert main(["sweep", "--code", "bit3", "--channel", "bit_flip",
+                 "--pmin", "0.1", "--pmax", "0.1", "--steps", "3",
+                 "--format", "svg", "--out", str(out)]) == 0
+    bare, corrected = [line.split('points="')[1].split('"')[0].split()
+                       for line in out.read_text().splitlines()
+                       if line.startswith("<polyline")]
+    assert len(bare) == 1 and len(corrected) == 3
+
+
 def test_fit_output(capsys):
     assert main(["fit", "--code", "bit3", "--channel", "bit_flip"]) == 0
     fields = {}
@@ -447,11 +470,15 @@ def test_the_dqd_command_loads_no_numpy():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False, (0, False), (0, False)]\n"
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "decoq.cli", "dqd"], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "decoq.noise" in proc.stderr and "numpy" not in proc.stderr
+    # the help texts list the codes, whose builders load the simulator
+    # only when a code is built
+    for argv in (["dqd"], ["--help"], ["sweep", "--help"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                               "decoq.cli", *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "decoq.noise" in proc.stderr, argv
+        assert "numpy" not in proc.stderr, argv
 
 
 def test_fit_policy_points_are_the_numpy_grids():

@@ -6,10 +6,11 @@ from decoq.channels import (PAULI_X, PAULI_Y, PAULI_Z, KrausChannel,
                             choi_to_chi)
 from decoq import sim
 from decoq.codes import (CODE_NAMES, QecCode, UnknownCodeError, bit_flip_code,
-                         build_recovery, code_by_name, shor5_code, shor9_code)
+                         build_recovery, code_by_name, phase_flip_code,
+                         shor5_code, shor9_code)
 from decoq.decoherence import measure_auto
 from decoq.noise import build_channel
-from decoq.sim import simulate_choi
+from decoq.sim import cnot, fuse_gates, hadamard, simulate_choi, toffoli
 
 from util import bell_choi_reference
 
@@ -117,3 +118,50 @@ def test_code_by_name_returns_one_object_per_name():
         with pytest.raises(UnknownCodeError, match="unknown code 'steane'; "
                            "choose from bit3, phase3, shor5, shor9, none"):
             code_by_name("steane")
+
+
+# phase3 and shor9 written out gate by gate: the oracle for the circuits
+# that phase_flip_code and shor9_code derive from bit3's
+_LITERAL = {
+    "phase3": (
+        (cnot(0, 1), cnot(0, 2), hadamard(0), hadamard(1), hadamard(2)),
+        (hadamard(0), hadamard(1), hadamard(2),
+         cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0)),
+    ),
+    "shor9": (
+        (cnot(0, 3), cnot(0, 6),
+         hadamard(0), hadamard(3), hadamard(6),
+         cnot(0, 1), cnot(0, 2),
+         cnot(3, 4), cnot(3, 5),
+         cnot(6, 7), cnot(6, 8)),
+        (cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0),
+         cnot(3, 4), cnot(3, 5), toffoli(4, 5, 3),
+         cnot(6, 7), cnot(6, 8), toffoli(7, 8, 6),
+         hadamard(0), hadamard(3), hadamard(6),
+         cnot(0, 3), cnot(0, 6), toffoli(3, 6, 0)),
+    ),
+}
+
+
+def _same_gates(got, want):
+    """Name, wires and matrix equal gate for gate; a fused permutation has
+    no matrix, so its index is compared instead."""
+    assert [(g.name, g.wires) for g in got] == [(w.name, w.wires)
+                                                for w in want]
+    for g, w in zip(got, want):
+        if w.matrix is None:
+            assert g.matrix is None and np.array_equal(g.src, w.src)
+        else:
+            assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+@pytest.mark.parametrize("build", [phase_flip_code, shor9_code],
+                         ids=["phase3", "shor9"])
+def test_derived_codes_equal_their_literal_circuits(build):
+    code = build()
+    enc, dec = _LITERAL[code.name]
+    _same_gates(code.encoder, enc)
+    _same_gates(code.decoder, dec)
+    _same_gates(code.encode_gates, fuse_gates(enc))
+    _same_gates(code.decode_gates, fuse_gates(dec))
+
