@@ -12,12 +12,14 @@ dqd      -- CSV of the double-quantum-dot curves over a logarithmic time grid.
 CSV files use 12-significant-digit scientific notation, a header row, and LF
 line endings; identical configurations produce byte-identical files.  Exit
 codes: 0 success, 2 configuration error, 3 range/validation error (including
-nan or infinite values of any float flag, a --steps above MAX_STEPS, and a
-``channel --p`` or ``dqd --params`` that takes floating point out of range).
+nan or infinite values of any float flag, a --steps above MAX_STEPS, an
+--n-ops below 1 or beyond float range, and a ``channel --p`` or ``dqd
+--params`` that takes floating point out of range).
 ``dqd`` evaluates B^2(t) in closed form, so any finite --tmax is accepted.
 
 Each command imports the layers it needs when it runs, so ``dqd`` loads
-neither numpy nor the simulator.
+neither numpy nor the simulator nor ``dataclasses``, and ``json`` only to
+read ``--params``.
 """
 from __future__ import annotations
 
@@ -250,21 +252,25 @@ def _log_grid(lo: float, hi: float, n: int) -> list:
 
 
 def cmd_dqd(args) -> int:
-    import json
-
     from . import dqd as dqd_mod
     try:
         params = (dqd_mod.load_params(args.params) if args.params
                   else dqd_mod.default_params())
     except (OverflowError, ZeroDivisionError):
         raise ValueError(_FLOAT_RANGE) from None
-    except (OSError, json.JSONDecodeError, ValueError, TypeError,
-            RecursionError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        # a malformed file's json.JSONDecodeError is a ValueError
         print(f"error: bad params file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _check_steps(args.steps)
     if not 0.0 < args.tmin <= args.tmax:
         raise ValueError("need 0 < --tmin <= --tmax")
+    if args.n_ops < 1:
+        raise ValueError("--n-ops must be >= 1")
+    try:
+        float(args.n_ops)
+    except OverflowError:
+        raise ValueError("--n-ops is too large to convert to a float") from None
     ts = _log_grid(args.tmin, args.tmax, args.steps)
     rows = ["t_s,p1,p2,D0,D,clamped"]
     pts_d0, pts_d = [], []

@@ -25,7 +25,6 @@ code imports the simulator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
@@ -37,26 +36,19 @@ if TYPE_CHECKING:
 RECOVERY_ORTHO_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
 class QecCode:
     """An encoder and a decoder (ending in the recovery) on n code wires."""
-    name: str
-    n: int
-    encoder: tuple
-    decoder: tuple
-    corrects: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "encoder", tuple(self.encoder))
-        object.__setattr__(self, "decoder", tuple(self.decoder))
-        object.__setattr__(self, "corrects",
-                           tuple((str(lbl), int(w)) for lbl, w in self.corrects))
+    def __init__(self, name: str, n: int, encoder, decoder, corrects):
+        self.name, self.n = name, n
+        self.encoder, self.decoder = tuple(encoder), tuple(decoder)
+        self.corrects = tuple((str(lbl), int(w)) for lbl, w in corrects)
         # the simulator's reference qubit is wire n, so a gate there would
         # act on the reference rather than be refused
         for g in self.encoder + self.decoder:
-            if not all(0 <= w < self.n for w in g.wires):
-                raise ValueError(f"code {self.name}: gate {g.name} on wires "
-                                 f"{g.wires} outside its {self.n} wires")
+            if not all(0 <= w < n for w in g.wires):
+                raise ValueError(f"code {name}: gate {g.name} on wires "
+                                 f"{g.wires} outside its {n} wires")
 
     @cached_property
     def encode_gates(self) -> tuple:
@@ -200,7 +192,7 @@ class UnknownCodeError(ValueError):
 @cache
 def code_by_name(name: str) -> QecCode:
     """The code of that name; one object per name per process (codes are
-    frozen, and each compiles its fused circuits once)."""
+    never modified, and each compiles its fused circuits once)."""
     try:
         return _CODES[name]()
     except KeyError:

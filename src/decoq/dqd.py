@@ -17,9 +17,7 @@ All internal units are SI.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 from .noise import FAMILIES
 
@@ -32,18 +30,24 @@ EV = 1.602176634e-19          # J
 MIN_SEPARATION_RATIO = 1e-2
 
 
-@dataclass(frozen=True)
 class DqdParams:
-    """Device parameters in SI units."""
-    deformation_potential: float   # J
-    sound_speed: float             # m/s
-    crystal_density: float         # kg/m^3
-    dot_separation: float          # m
-    dot_radius: float              # m
-    phonon_wavevector: float       # 1/m
-    hbar: float = HBAR
+    """Device parameters in SI units, checked when built; ``vars`` lists
+    them in argument order."""
 
-    def __post_init__(self):
+    def __init__(self, deformation_potential: float,     # J
+                 sound_speed: float,                      # m/s
+                 crystal_density: float,                  # kg/m^3
+                 dot_separation: float,                   # m
+                 dot_radius: float,                       # m
+                 phonon_wavevector: float,                # 1/m
+                 hbar: float = HBAR):
+        self.deformation_potential = deformation_potential
+        self.sound_speed = sound_speed
+        self.crystal_density = crystal_density
+        self.dot_separation = dot_separation
+        self.dot_radius = dot_radius
+        self.phonon_wavevector = phonon_wavevector
+        self.hbar = hbar
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive")
@@ -89,6 +93,7 @@ def load_params(path) -> DqdParams:
     each holding a JSON number; missing keys fall back to the defaults,
     unknown keys are rejected.
     """
+    import json
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -105,6 +110,7 @@ def _json_float(key: str, value) -> float:
     infinity of its sign, which DqdParams then refuses by field name.  Any
     other JSON value (true, a string, null, ...) is refused here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        import json
         raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
     try:
         return float(value)

@@ -32,9 +32,8 @@ on the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,8 +49,7 @@ def _channels():
     return channels
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One channel family.  The native parameter lies in [0, native_top].
     Calibrated p lies in [0, cap) when the cap is open (the damping families
     reach it only at infinite damping); a closed cap belongs to a family

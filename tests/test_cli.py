@@ -296,7 +296,12 @@ def test_dqd_n_ops_beyond_a_float_is_a_range_error(capsys):
     assert main(["dqd", "--steps", "1", "--n-ops", "1" + "0" * 400]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: n_ops is too large to convert to a float\n"
+    assert captured.err == ("error: --n-ops is too large to convert to a "
+                            "float\n")
+    # below one, the message names the flag too, as --steps does
+    for n_ops in ("0", "-5"):
+        assert main(["dqd", "--steps", "1", "--n-ops", n_ops]) == 3
+        assert capsys.readouterr() == ("", "error: --n-ops must be >= 1\n")
 
 
 def test_dqd_non_finite_params_are_bad_params_files(tmp_path, capsys):
@@ -473,12 +478,42 @@ def test_the_dqd_command_loads_no_numpy():
     # the help texts list the codes, whose builders load the simulator
     # only when a code is built
     for argv in (["dqd"], ["--help"], ["sweep", "--help"]):
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                               "decoq.cli", *argv], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert "decoq.noise" in proc.stderr, argv
-        assert "numpy" not in proc.stderr, argv
+        loaded, _ = _imported_modules(argv, env)
+        assert "decoq.noise" in loaded, argv
+        assert not any(name.startswith("numpy") for name in loaded), argv
+
+
+def _imported_modules(argv, env) -> tuple:
+    """The top-level names of the modules ``python -X importtime -m
+    decoq.cli ARGV`` imports, and its stdout."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "decoq.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}, proc.stdout
+
+
+def test_the_dqd_command_loads_no_dataclasses_and_json_only_for_params(
+        tmp_path):
+    # the records it reads are a named tuple and plain classes, and json
+    # loads only to read a --params file
+    env = dict(os.environ, PYTHONPATH="src")
+    path = tmp_path / "device.json"
+    path.write_text('{"L_nm": 40}')
+    for argv in (["dqd"], ["dqd", "--format", "svg"],
+                 ["dqd", "--params", str(path), "--steps", "2"]):
+        loaded, out = _imported_modules(argv, env)
+        assert "decoq.dqd" in loaded, argv
+        assert not loaded & {"dataclasses", "inspect"}, argv
+        assert ("json" in loaded) == ("--params" in argv), argv
+    # the file is read: its first row is that of a 40 nm separation
+    p1, p2, _ = dqd.dqd_error_probs(dqd.params_from_units(L_nm=40.0), 1e-13)
+    assert out.splitlines()[1].startswith(
+        f"1.00000000000e-13,{cli._fmt(p1)},{cli._fmt(p2)},")
+    default_p2 = dqd.dqd_error_probs(dqd.default_params(), 1e-13)[1]
+    assert cli._fmt(p2) != cli._fmt(default_p2)
 
 
 def test_fit_policy_points_are_the_numpy_grids():

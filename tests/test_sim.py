@@ -252,6 +252,59 @@ def test_a_wire_group_equals_one_call_per_wire(monkeypatch, block):
                        rho.copy(), want)
 
 
+@pytest.mark.parametrize(("block", "counts"), (
+    (sim.BLOCK_ENTRIES, [8, 4, 1, 1, 8, 4, 1, 1]),
+    (4, [1024, 256, 64, 32, 256, 64, 32, 16])))
+def test_zero_blocks_are_left_in_place_and_written_into_another_out(
+        monkeypatch, block, counts):
+    # an 8-wire state projected off the rows and columns whose first three
+    # wires read 001, 010, 101 or 110: at 2^13 entries the first three row
+    # wires fix the blocks of both passes below, so half of them are zero;
+    # at 4 entries the column wires fix some blocks too.  In place such a
+    # block is not multiplied; into another out, here one of NaN, it is
+    # still written.  A read-set pass is one block at 2^13 entries
+    monkeypatch.setattr(sim, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(37)
+    m = 8
+    zero = np.isin(np.arange(2 ** m) >> (m - 3), (1, 2, 5, 6))
+    rho = random_density(2 ** m, rng)
+    rho[zero] = rho[:, zero] = 0.0
+    gate = Gate("U", (3, 5), np.linalg.qr(rng.normal(size=(4, 4))
+                                          + 1j * rng.normal(size=(4, 4)))[0])
+    ch, wires = random_kraus_channel(rng), (3, 4, 6)
+    group = rho
+    for w in wires:
+        group = tensordot_apply_channel_wire(group, ch.operators, w)
+    multiplied = []
+
+    def counting(*args):
+        multiplied[-1] += 1
+        return steps(*args)
+
+    steps = sim._steps
+    monkeypatch.setattr(sim, "_steps", counting)
+    reads = read_sets.ReadSet.of_trace(m, (0, 7))
+    read = read_set_mask(reads)
+    for apply, want in (
+            (lambda s, **kw: apply_gate(s, gate, **kw),
+             tensordot_apply_gate(rho, gate)),
+            (lambda s, **kw: apply_channel_wire(s, ch, wires, **kw), group)):
+        multiplied.append(0)
+        nan = np.full_like(rho, np.nan)
+        assert apply(rho, out=nan) is nan and np.array_equal(nan, want)
+        multiplied.append(0)
+        state = rho.copy()
+        assert apply(state, out=state) is state and np.array_equal(state, want)
+        # a read-set pass computes the read entries alike, and skips zero
+        # blocks in place alone
+        nan, state = np.full_like(rho, np.nan), rho.copy()
+        for src, dst in ((rho, nan), (state, state)):
+            multiplied.append(0)
+            apply(src, out=dst, reads=reads)
+            assert np.array_equal(dst.reshape(-1)[read], want.reshape(-1)[read])
+    assert multiplied == counts
+
+
 def test_a_wire_group_refuses_a_repeated_or_missing_wire():
     rho = random_density(8, np.random.default_rng(36))
     ch = build_channel("depolarizing", 0.1)
@@ -462,12 +515,13 @@ def test_simulate_choi_per_wire_paulis_match_dense_reference(name):
 def test_shor9_fit_points_equal_the_tensordot_composition():
     # the shor9 break-even p* that `decoq fit` prints is a cubic's
     # extrapolation through these points, and moves at 1e-9 when their
-    # last bits do
+    # last bits do.  Compared by bytes: the zero blocks a pass skips keep
+    # their zeros' signs, and no sign reaches the Choi state
     code = _shared_code("shor9")
     for p in _FIT_POLICY["shor9"]["points"]:
         ch = from_calibrated_p("depolarizing", p)
-        assert np.array_equal(simulate_choi(code, ch),
-                              tensordot_simulate_choi(code, (ch,) * code.n))
+        assert (simulate_choi(code, ch).tobytes()
+                == tensordot_simulate_choi(code, (ch,) * code.n).tobytes())
 
 
 @pytest.mark.parametrize("name, kind", [

@@ -1,6 +1,4 @@
 """Sweeps, exact polynomial fits, break-even."""
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -48,8 +46,8 @@ def test_sweep_inverts_each_calibration_once(monkeypatch):
     # point's channel does, once
     calls = []
     fam = FAMILIES["phase_damping"]
-    monkeypatch.setitem(FAMILIES, "phase_damping", dataclasses.replace(
-        fam, invert=lambda p: calls.append(p) or fam.invert(p)))
+    monkeypatch.setitem(FAMILIES, "phase_damping", fam._replace(
+        invert=lambda p: calls.append(p) or fam.invert(p)))
     sweep("bit3", "phase_damping", (0.1, 0.3, 0.2))
     assert calls == [0.1, 0.3, 0.2]
     with pytest.raises(ValueError, match="got 0.5"):
