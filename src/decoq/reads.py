@@ -1,8 +1,10 @@
 """Read sets: the entries of a density matrix that later stages read.
 
-``simulate_choi`` ends in a partial trace that reads a small part of the
-register: on shor9, 4,096 of its 2^20 entries.  Its stages therefore need
-to compute only the entries some later stage reads, the stage's read set.
+``simulate_choi`` runs a register of more than one block (shor9's) as its
+four reference blocks, each on the n code wires, and ends each in a
+partial trace onto the data wire that reads a small part of it: on shor9,
+1,024 of a block's 2^18 entries.  Its stages therefore need to compute
+only the entries some later stage reads, the stage's read set.
 The read sets are derived backward from the trace once per code and noise
 grouping (``stage_reads``), before any value is known:
 
@@ -19,8 +21,9 @@ permutation splits into its independent parts, so a factor stays small and
 the set is never held as a register-sized mask.  The simulator's kernels
 take a read set as ``reads=`` and plan their work from it once (``passes``
 and ``gather``): a pass whose read set depends on its column axes computes
-only the columns that hold a read entry, and a gather copies only the
-read entries.  Every other entry is left stale, and no later stage reads
+only the columns that hold a read entry, padded to whole chunks of at
+least four by repeating a read column, and a gather copies only the read
+entries.  Every other entry is left stale, and no later stage reads
 it.  This module is imported by the first simulation of a register of more
 than one block.
 """
@@ -159,8 +162,12 @@ class ReadSet:
         the read set depends on axes no step of it acts on computes only
         the columns that hold a read entry: its last field is then the
         flat positions of its steps' entries (in step order, as a column)
-        and its columns' flat positions, in equal chunks of at least four
-        columns and about ``block_entries`` entries."""
+        and its columns' flat positions, in equal chunks of a power of two
+        columns, at least four, and at most about ``block_entries``
+        entries.  So that every product keeps four columns, the last chunk
+        is padded with its own last column: a chunk takes all its columns
+        before it writes any, so in place a repeated column is still
+        multiplied once."""
         key = (axes_seq, block_entries)
         plan = self._plans.get(key)
         if plan is not None:
@@ -171,19 +178,15 @@ class ReadSet:
             union = [a for axes in axes_seq[done - count:done] for a in axes]
             done -= count
             reads = reads.freed(set(union))
-            held = {a for f_axes, _ in reads.factors for a in f_axes}
-            free = [a for a in range(self.ndim)
-                    if a not in union and a not in held]
-            # every product keeps four columns: two axes stay free
-            while len(free) < 2 and reads.factors:
-                lost = reads.factors[-1][0]
-                reads, free = reads.freed(lost), sorted(free + list(lost))
             if not reads.factors:
                 plan.append(pass_)
                 continue
-            cols = _positions(self.ndim, reads.factors, free)
-            width = min(max(4, block_entries >> len(union)),
-                        len(cols) & -len(cols))
+            held = {a for f_axes, _ in reads.factors for a in f_axes}
+            cols = _positions(self.ndim, reads.factors, [
+                a for a in range(self.ndim) if a not in union and a not in held])
+            width = max(4, min(block_entries >> len(union),
+                               1 << (len(cols) - 1).bit_length()))
+            cols = np.pad(cols, (0, -len(cols) % width), mode="edge")
             rows = _positions(self.ndim, (), union)[:, None]
             plan.append(pass_[:-1] + ((rows, cols.reshape(-1, width)),))
         return self._plans.setdefault(key, tuple(reversed(plan)))
@@ -207,16 +210,17 @@ class ReadSet:
 
 
 @functools.lru_cache(maxsize=32)
-def stage_reads(gates: tuple, m: int, groups: tuple) -> tuple:
-    """The read set of each stage's output in ``simulate_choi`` on m wires,
-    derived backward from the partial trace onto (0, m-1): one per noise
-    pass (``groups``, each pass's wires) and one per decode gate."""
-    reads = ReadSet.of_trace(m, (0, m - 1))
+def stage_reads(gates: tuple, n: int, groups: tuple) -> tuple:
+    """The read set of each stage's output in ``simulate_choi`` on one
+    n-wire reference block, derived backward from the partial trace onto
+    the data wire 0: one per noise pass (``groups``, each pass's wires) and
+    one per decode gate."""
+    reads = ReadSet.of_trace(n, (0,))
     decode, noise = [], []
     for gate in reversed(gates):
         decode.append(reads)
-        reads = reads.before(gate, m)
+        reads = reads.before(gate, n)
     for wires in reversed(groups):
         noise.append(reads)
-        reads = reads.freed(wires + tuple(m + w for w in wires))
+        reads = reads.freed(wires + tuple(n + w for w in wires))
     return tuple(reversed(noise)), tuple(reversed(decode))

@@ -41,36 +41,44 @@ The main entry point is simulate_choi.  An n-wire code runs on wires
   code object, and trace out all but (data, reference) with one
   ``np.einsum`` over the register's (2,)*2m view.
 
-Each noise pass and decode gate computes only the entries a later stage
-reads, its read set (``decoq.reads``, derived backward from the trace once
-per code and noise grouping and passed as ``reads=``): a pass whose read
-set depends on its column axes computes only the columns that hold a read
-entry, taking runs of them by their flat positions into a block, with the
-same products of four or more columns; a gather copies only the read
-entries, through one small buffer so that it still works in place.  Every
-other entry is left stale, and no later stage reads it.  On shor9 the
-first noise pass computes the whole register, the second a quarter, the
-third a sixteenth and the dense decode block (H on wires 0, 3 and 6) a
-sixty-fourth; the gathers copy 2^14 and 2^12 of its 2^20 entries.  A
-register of one block (up to 6 wires) is computed whole.
+A register of one block (up to 6 wires: bit3, phase3, shor5, none) is run
+whole, as above.  A larger one (shor9's) runs its four reference blocks in
+turn in one n-wire array: block (b, c), the entries whose reference row
+bit is b and column bit c, is |b_L><c_L| / 2, filled on the codewords'
+support (64 of its 2^18 entries on shor9) with the products ``np.outer``
+forms and +0 elsewhere.  No stage touches the reference wire, so each
+block takes the same stages, and its trace onto the data wire is the Choi
+state's (b, c) block.
+
+Each noise pass and decode gate of a block computes only the entries a
+later stage reads, its read set (``decoq.reads``, derived backward from
+the trace once per code and noise grouping and passed as ``reads=``): a
+pass whose read set depends on its column axes computes only the columns
+that hold a read entry, taking runs of them by their flat positions into a
+block, with the same products of four or more columns; a gather copies
+only the read entries, through one small buffer so that it still works in
+place.  Every other entry is left stale, and no later stage reads it.  On
+a shor9 block the first noise pass computes the whole array, the second a
+quarter, the third a sixteenth and the dense decode block (H on wires 0, 3
+and 6) a sixty-fourth; the gathers copy 2^12 and 2^10 of its 2^18 entries.
 
 In place, a pass of more than one block also skips each block whose input
 is all zero, since its product is zero and its positions already hold
-zeros.  shor9's pair state has 256 nonzero amplitudes, so its density
-matrix is mostly zero blocks: under depolarizing or amplitude-damping
-noise the first noise pass multiplies 8 of its 128 blocks, and the
-read-set passes after it 30 of their 42.  An ``out``
-that is not the input is written whole, and a one-block pass pays no test.
+zeros.  A shor9 reference block has 64 nonzero entries, so under
+depolarizing or amplitude-damping noise its first noise pass multiplies 4
+of its 32 blocks; the read-set passes after it multiply all 11 of theirs.
+An ``out`` that is not the input is written whole, and a one-block pass
+pays no test.
 
-Noise and decode write into the one density matrix the function owns, and
-every block runs in the calling thread, one after another, so a run holds
-one register-sized array and the buffers of one block or read-set gather.
-Every computed step output is, bit for bit, what ``np.tensordot`` of its op
-with the whole state gives, so grouping, blocking and skipping change no
-output bit.  A skipped zero block keeps its input's zeros, whose sign may
-differ from the product's; none reaches the Choi states of the shor9 fit,
-which a test compares by bytes with the whole-register ``np.tensordot``
-route.
+Noise and decode write into the one array the function owns, and every
+block runs in the calling thread, one after another, so a shor9 run holds
+one 4 MiB array (the whole register would be 16 MiB) and the buffers of
+one block or read-set gather.  Every computed step output is, bit for bit,
+what ``np.tensordot`` of its op with the whole state gives, so grouping,
+blocking, skipping and splitting change no output bit.
+A skipped zero block keeps its input's zeros, whose sign may differ from
+the product's; none reaches the Choi states of shor9, which a test
+compares by bytes with the whole-register ``np.tensordot`` route.
 
 The result is the Choi state of the error-corrected logical channel, with the
 noisy (data) factor first.  The superoperator and Choi contractions follow
@@ -519,7 +527,8 @@ def simulate_choi(code, noise) -> np.ndarray:
     be None for no noise on that wire).  The register's wires 0..n-1 are the
     code's own (wire 0 the data qubit, 1..n-1 the ancillas) and wire n is
     the untouched reference.  Returns the 4x4 state on (data, reference),
-    data factor first.
+    data factor first.  A register of more than one block runs its four
+    reference blocks in turn on n wires.
     """
     n = code.n
     m = n + 1
@@ -544,19 +553,36 @@ def simulate_choi(code, noise) -> np.ndarray:
             groups.append((ch, tuple(range(start, end))))
         start = end
     gates = code.decode_gates
-    if 4 ** m > BLOCK_ENTRIES:
-        # imported here: a job on registers of one block never loads it
-        from .reads import stage_reads
-        noise_reads, decode_reads = stage_reads(
-            gates, m, tuple(wires for _, wires in groups))
-    else:       # one block: nothing to skip
-        noise_reads, decode_reads = (None,) * len(groups), (None,) * len(gates)
+    if 4 ** m <= BLOCK_ENTRIES:
+        # one block: the whole register, computed whole
+        rho = np.outer(code.encoded_state, code.encoded_state.conj())
+        _run_stages(rho, groups, (None,) * len(groups), gates,
+                    (None,) * len(gates))
+        return partial_trace(rho, keep=(0, n))
 
-    # rho is this function's own, so noise and decode write into it, each
-    # stage only the entries a later one reads
-    rho = np.outer(code.encoded_state, code.encoded_state.conj())
+    # imported here: a job on registers of one block never loads it
+    from .reads import stage_reads
+    noise_reads, decode_reads = stage_reads(
+        gates, n, tuple(wires for _, wires in groups))
+    # rho is this function's own, so noise and decode write into it
+    words = code.encoded_state.reshape(2 ** n, 2)
+    support = [np.flatnonzero(words[:, b]) for b in (0, 1)]
+    rho = np.empty((2 ** n, 2 ** n), dtype=complex)
+    choi = np.empty((2, 2, 2, 2), dtype=complex)
+    for b, c in itertools.product((0, 1), repeat=2):
+        rows, cols = support[b], support[c]
+        rho.fill(0.0)
+        rho[rows[:, None], cols] = np.outer(words[rows, b],
+                                            words[cols, c].conj())
+        _run_stages(rho, groups, noise_reads, gates, decode_reads)
+        choi[:, b, :, c] = partial_trace(rho, keep=(0,))
+    return choi.reshape(4, 4)
+
+
+def _run_stages(rho, groups, noise_reads, gates, decode_reads) -> None:
+    """The noise passes and decode gates of ``simulate_choi``, in place,
+    each computing at least the entries of its read set."""
     for (ch, wires), reads in zip(groups, noise_reads):
         apply_channel_wire(rho, ch, wires, out=rho, reads=reads)
     for gate, reads in zip(gates, decode_reads):
         apply_gate(rho, gate, out=rho, reads=reads)
-    return partial_trace(rho, keep=(0, n))

@@ -37,6 +37,18 @@ def test_channel_report(capsys):
             "calibrated p: 5.03414696209e-01\n") in out
 
 
+def test_channel_grid_oracle_is_close_at_small_p(capsys):
+    # the grid runs on the family's own Kraus operators: on those that
+    # chi_to_kraus rebuilds from chi, depolarizing reads 1.50027480448e-12
+    for kind in ("depolarizing", "bit_flip", "amplitude_damping"):
+        assert main(["channel", "--channel", kind, "--p", "1e-12"]) == 0
+        lines = dict(line.split(": ", 1) for line in
+                     capsys.readouterr().out.splitlines() if ": " in line)
+        exact = float(lines["D (dispatch)"])
+        grid = float(lines["D (definition, grid)"])
+        assert 0.0 <= grid / exact - 1.0 < 3e-4, kind
+
+
 def test_channel_report_with_complex_chi(capsys):
     assert main(["channel", "--channel", "amplitude_damping", "--p", "1.0"]) == 0
     out = capsys.readouterr().out

@@ -305,6 +305,36 @@ def test_zero_blocks_are_left_in_place_and_written_into_another_out(
     assert multiplied == counts
 
 
+@pytest.mark.parametrize(("block", "chunks"), (
+    (sim.BLOCK_ENTRIES, (1, 16)), (64, (3, 4))), ids=("8192", "64"))
+def test_read_columns_are_padded_to_whole_chunks_of_four(
+        monkeypatch, block, chunks):
+    # a noise pass on wires 0 and 1 of four, read on 3 x 3 of the 16
+    # columns its axes leave: one chunk of 16 columns, or at 64 entries
+    # three of four, the last a read column taken four times.  In place, a
+    # repeated column is still multiplied once
+    monkeypatch.setattr(sim, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(49)
+    m = 4
+    three = np.array([[True, True], [True, False]])
+    reads = read_sets.ReadSet(2 * m, (((2, 6), three), ((3, 7), three)))
+    axes_seq = ((0, 4), (1, 5))
+    (*_, (rows, cols)), = reads.passes(
+        axes_seq, sim._plan(2 * m, axes_seq, block), block)
+    assert rows.size == 16 and cols.shape == chunks
+    assert len(set(cols.ravel().tolist())) == 9
+    ch = random_kraus_channel(rng)
+    rho = random_density(2 ** m, rng)
+    want = rho
+    for w in (0, 1):
+        want = tensordot_apply_channel_wire(want, ch.operators, w)
+    read = read_set_mask(reads)
+    nan, state = np.full_like(rho, np.nan), rho.copy()
+    for src, dst in ((rho, nan), (state, state)):
+        apply_channel_wire(src, ch, (0, 1), out=dst, reads=reads)
+        assert np.array_equal(dst.reshape(-1)[read], want.reshape(-1)[read])
+
+
 def test_a_wire_group_refuses_a_repeated_or_missing_wire():
     rho = random_density(8, np.random.default_rng(36))
     ch = build_channel("depolarizing", 0.1)
@@ -515,25 +545,25 @@ def test_simulate_choi_per_wire_paulis_match_dense_reference(name):
 def test_shor9_fit_points_equal_the_tensordot_composition():
     # the shor9 break-even p* that `decoq fit` prints is a cubic's
     # extrapolation through these points, and moves at 1e-9 when their
-    # last bits do.  Compared by bytes: the zero blocks a pass skips keep
-    # their zeros' signs, and no sign reaches the Choi state
+    # last bits do.  Compared by bytes, which np.array_equal is not for the
+    # signs of zeros: the zero blocks a pass skips keep their zeros' signs,
+    # the reference blocks start from +0 off the codewords' support, and no
+    # sign reaches the Choi state
     code = _shared_code("shor9")
-    for p in _FIT_POLICY["shor9"]["points"]:
-        ch = from_calibrated_p("depolarizing", p)
-        assert (simulate_choi(code, ch).tobytes()
-                == tensordot_simulate_choi(code, (ch,) * code.n).tobytes())
+    for kind in CHANNEL_KINDS:
+        for p in [*_FIT_POLICY["shor9"]["points"], 0.1]:
+            ch = from_calibrated_p(kind, p)
+            assert (simulate_choi(code, ch).tobytes() == tensordot_simulate_choi(
+                code, (ch,) * code.n).tobytes()), (kind, p)
 
 
 @pytest.mark.parametrize("name, kind", [
     (name, kind) for name in CODE_NAMES for kind in CHANNEL_KINDS
-    # shor9 depolarizing is the test above
-    if (name, kind) != ("shor9", "depolarizing")])
+    # shor9 is the test above
+    if name != "shor9"])
 def test_simulate_choi_equals_the_tensordot_composition(name, kind):
-    # shor9 runs at the points its fit uses
     code = _shared_code(name)
-    points = (_FIT_POLICY["shor9"]["points"] if name == "shor9"
-              else (0.0, 0.05, 0.3))
-    for p in points:
+    for p in (0.0, 0.05, 0.3):
         ch = from_calibrated_p(kind, p)
         assert np.array_equal(simulate_choi(code, ch),
                               tensordot_simulate_choi(code, (ch,) * code.n))
@@ -555,8 +585,9 @@ def test_noise_groups_split_at_none_and_at_another_channel(monkeypatch):
 
     monkeypatch.setattr(sim, "apply_channel_wire", recording)
     got = simulate_choi(code, per_wire)
+    # once for each of shor9's four reference blocks
     assert [(ch is a, wires) for ch, wires in calls] == [
-        (True, (0, 1)), (False, (3, 4, 5)), (False, (6,)), (True, (7,))]
+        (True, (0, 1)), (False, (3, 4, 5)), (False, (6,)), (True, (7,))] * 4
     assert np.array_equal(got, tensordot_simulate_choi(code, per_wire))
 
 
@@ -596,7 +627,8 @@ def test_shor9_stages_never_read_what_their_read_sets_leave_out(
     stages = _poison_unread(monkeypatch)
     got = simulate_choi(code, per_wire)
     noisy = 4 if kind == "per-wire mix" else 3
-    assert len(stages) == noisy + len(code.decode_gates)
+    # the stages run once for each of the four reference blocks
+    assert len(stages) == 4 * (noisy + len(code.decode_gates))
     assert all(reads is not None for reads in stages)
     assert np.isfinite(got).all()
     assert np.array_equal(got, tensordot_simulate_choi(code, per_wire))
@@ -609,8 +641,8 @@ def test_random_circuits_compute_every_entry_their_read_sets_hold(
     # small enough to skip: derived backward from a random trace, each
     # stage's read set leaves the trace's bits as the whole-register run.
     # The first circuit ends in a dense gate on the three wires whose
-    # columns the trace leaves free, so its pass must give up a read-set
-    # factor to keep four columns
+    # columns the trace leaves free, so its pass computes four columns, the
+    # fewest a product keeps
     monkeypatch.setattr(sim, "BLOCK_ENTRIES", block)
     rng = np.random.default_rng(48)
     m = 5
@@ -665,7 +697,8 @@ def test_the_read_plan_skips_shor9_blocks_and_is_built_once():
     code = _shared_code("shor9")
     ch = from_calibrated_p("depolarizing", 1e-3)
     simulate_choi(code, ch)
-    m, block = code.n + 1, sim.BLOCK_ENTRIES
+    # the stages run on one n-wire reference block at a time
+    m, block = code.n, sim.BLOCK_ENTRIES
     groups = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
     # the fused gather of the three bit-flip decoders is pulled back through
     # each triple's own index, so no factor spans more than three wires
@@ -735,13 +768,14 @@ def test_a_second_simulation_runs_only_the_decoder(monkeypatch):
 
 
 def test_shor9_simulation_holds_one_register_array():
-    # noise, decode and the partial trace work on the one register; beside
-    # it the calling thread holds the buffers of one block or one read-set
-    # gather
+    # noise, decode and the partial trace work on one n-wire register, the
+    # reference blocks in turn (4 MiB; the whole (n+1)-wire register would
+    # be 16 MiB); beside it the calling thread holds the buffers of one
+    # block or one read-set gather
     code = _shared_code("shor9")
     ch = from_calibrated_p("depolarizing", 1e-3)
     simulate_choi(code, ch)             # builds the gathers' cached indices
-    register = np.dtype(complex).itemsize * 4 ** (code.n + 1)
+    register = np.dtype(complex).itemsize * 4 ** code.n
     tracemalloc.start()
     try:
         simulate_choi(code, ch)
@@ -754,9 +788,10 @@ def test_shor9_simulation_holds_one_register_array():
 def test_a_fresh_shor9_build_and_first_simulation_hold_one_register():
     # a fused permutation run is held as its index alone: building the
     # code's fused circuits makes no 512 x 512 matrix, so the first run
-    # peaks at one register, and the code then holds almost nothing
+    # peaks at one 9-wire reference block, and the code then holds almost
+    # nothing
     ch = from_calibrated_p("depolarizing", 1e-3)
-    register = np.dtype(complex).itemsize * 4 ** 10
+    register = np.dtype(complex).itemsize * 4 ** 9
     tracemalloc.start()
     try:
         code = shor9_code()
@@ -874,10 +909,11 @@ def test_partial_trace_of_shor9_states_equals_the_transposed_copy(
 
     monkeypatch.setattr(sim, "partial_trace", recording)
     simulate_choi(_shared_code("shor9"), from_calibrated_p(kind, 0.05))
-    (rho,) = states
-    for keep in _keeps(10) + [(0, 9, 4), (3, 7)]:
-        assert np.array_equal(trace(rho, keep),
-                              transpose_partial_trace(rho, keep))
+    assert len(states) == 4             # one per reference block
+    for rho in states:
+        for keep in _keeps(9) + [(0, 8, 4), (3, 7)]:
+            assert np.array_equal(trace(rho, keep),
+                                  transpose_partial_trace(rho, keep))
 
 
 _THREAD_COUNTS = """
@@ -893,7 +929,7 @@ print(threading.active_count())
 
 
 def test_importing_the_cli_starts_no_thread():
-    # nor does a shor9 simulation, whose 10-wire contractions run up to 128
+    # nor does a shor9 simulation, whose 9-wire contractions run up to 32
     # blocks each (its first noise pass; the later passes and the dense
     # decode skip the blocks no later stage reads): every one runs in the
     # calling thread
